@@ -4,12 +4,15 @@ The semidiscrete operator is circulant, so the fully discrete update has
 eigenvalues p(mu * lambda_R(s_k)) at the grid roots of unity s_k; no dense
 matrix is ever formed (the dense route survives only as a test oracle).
 The spectral radius rho decides stability, quantified by the instability
-index log10(rho - 1) whenever rho exceeds 1 + TOL_STABLE.
+index log10(rho - 1) whenever rho exceeds 1 + TOL_STABLE.  The lambda_R(s_k)
+do not depend on the step ratio, so a threshold search computes them once
+and re-evaluates only the polynomial p at each probe.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,12 +57,19 @@ class GridConfig:
     dt: float
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.n_cells)
+            is_int = not isinstance(self.n_cells, bool)
+        except TypeError:
+            is_int = False
+        if not is_int:
+            raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}")
         if self.n_cells < 4:
             raise ValueError("need at least 4 cells")
-        if not (self.nu >= 0):
-            raise ValueError("viscosity must be non-negative")
-        if not (self.dt > 0):
-            raise ValueError("time step must be positive")
+        if not (math.isfinite(self.nu) and self.nu >= 0):
+            raise ValueError("viscosity must be finite and non-negative")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("time step must be finite and positive")
 
     @property
     def h(self) -> float:
@@ -206,11 +216,6 @@ def instability_curve(dx: FdOperator | None, dxx: FdOperator | None,
     return list(runner(one, n_list))
 
 
-def _is_stable(dx, dxx, p, mode, n_cells, control, nu) -> bool:
-    grid = grid_for(mode, n_cells, control, nu)
-    return full_spectrum(dx, dxx, grid, p).rho - 1.0 <= TOL_STABLE
-
-
 def stable_mu_threshold(dx: FdOperator | None, dxx: FdOperator | None,
                         method, nu: float, n_cells: int,
                         mode: SweepMode = SweepMode.FIXED_MU,
@@ -220,13 +225,21 @@ def stable_mu_threshold(dx: FdOperator | None, dxx: FdOperator | None,
 
     Seeds at ``seed``, doubles until instability, then bisects the bracket
     to relative width ``rel_width``.  A scan past the crossing sets
-    ``stable_beyond`` when stability reappears at larger values.
+    ``stable_beyond`` when stability reappears at larger values.  The
+    lambda_k are computed once; each probe re-evaluates only p(mu * lambda).
     """
+    # Below machine epsilon the bracket can stop shrinking: mid rounds to lo.
+    if not (math.isfinite(rel_width) and rel_width >= np.finfo(float).eps):
+        raise ValueError("rel_width must be finite and at least machine epsilon")
+    if not (0 < seed < cap and math.isfinite(cap)):
+        raise ValueError("need 0 < seed < cap with cap finite")
     p = _as_poly(method)
+    lam = semidiscrete_eigs(dx, dxx, grid_for(mode, n_cells, seed, nu))
     iterations = 0
 
     def stable(control: float) -> bool:
-        return _is_stable(dx, dxx, p, mode, n_cells, control, nu)
+        mu = grid_for(mode, n_cells, control, nu).mu
+        return float(np.max(np.abs(eval_p(p, mu * lam)))) - 1.0 <= TOL_STABLE
 
     if not stable(seed):
         raise ThresholdNotFoundError("unstable for all tested mu")

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -88,6 +90,19 @@ def test_coeffs_file_and_manifest(capsys, tmp_path):
     assert man["outputs"] == [str(out)]
     assert man["params"]["kind"] == "dx" and man["params"]["extent"] == [3, 1]
     assert man["duration_s"] >= 0
+
+
+def test_outputs_get_umask_file_mode(capsys, tmp_path):
+    out = tmp_path / "c.csv"
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "coeffs", "dx", "3", "1", "--out", str(out))
+    finally:
+        os.umask(old)
+    assert code == 0
+    for path in (out, tmp_path / "c.csv.manifest.json"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.csv.manifest.json"]
 
 
 def test_coeffs_bad_extent(capsys):

@@ -11,9 +11,11 @@ from fdmlab import (
     StabilityPolynomial,
     SweepMode,
     ThresholdNotFoundError,
+    ThresholdResult,
     build_dx,
     build_dxx,
     full_spectrum,
+    fulldisc,
     get_tableau,
     grid_for,
     instability_curve,
@@ -34,7 +36,13 @@ def test_grid_config_properties():
     assert g.mu == pytest.approx(0.64)
     assert g.r == 32.0
     assert g.mu_nu == pytest.approx(0.25 * 0.005 * 128**2)
-    for bad in [(2, 0.0, 0.1), (16, -1.0, 0.1), (16, 0.0, 0.0)]:
+    assert GridConfig(np.int64(16), np.float64(0.5), dt=np.float64(0.1)).mu == 1.6
+    bad_grids = [
+        (2, 0.0, 0.1), (16, -1.0, 0.1), (16, 0.0, 0.0),
+        (64.5, 0.0, 0.01), (64.0, 0.0, 0.01), (True, 0.0, 0.01), ("64", 0.0, 0.01),
+        (16, math.inf, 0.1), (16, math.nan, 0.1), (16, 0.0, math.inf), (16, 0.0, math.nan),
+    ]
+    for bad in bad_grids:
         with pytest.raises(ValueError):
             GridConfig(*bad[:2], dt=bad[2])
 
@@ -153,6 +161,10 @@ def test_threshold_forward_euler_first_order():
     assert res.mu_star == pytest.approx(1.0, rel=1e-5)
     assert res.tol == 1e-6
     assert res.iterations > 10
+    # the smallest accepted width still terminates
+    eps = np.finfo(float).eps
+    res = stable_mu_threshold(build_dx(1, 0), None, get_tableau("fe"), 0.0, 64, rel_width=eps)
+    assert res.mu_star == pytest.approx(1.0, rel=1e-11)
 
 
 def test_threshold_rk4_upwind_families():
@@ -172,6 +184,8 @@ def test_threshold_diffusion_mode():
         stable_mu_threshold(
             None, build_dxx(1), get_tableau("fe"), 0.0, 64, mode=SweepMode.FIXED_MU_NU
         )
+    with pytest.raises(ValueError):  # no active operator
+        stable_mu_threshold(None, build_dxx(1), get_tableau("fe"), 0.0, 64)
 
 
 def test_threshold_not_found_cases():
@@ -181,3 +195,87 @@ def test_threshold_not_found_cases():
     # p = 1 never leaves the unit circle, so no crossing exists
     with pytest.raises(ThresholdNotFoundError):
         stable_mu_threshold(build_dx(1, 0), None, StabilityPolynomial((1.0,)), 0.0, 32)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"rel_width": 0.0},  # the bisection would never end once mid rounds to lo
+        {"rel_width": 1e-17},
+        {"rel_width": math.nan},  # would skip the bisection and stop far below 1
+        {"rel_width": -1e-6},
+        {"rel_width": math.inf},
+        {"seed": 0.0},
+        {"seed": -1e-8},
+        {"seed": math.nan},
+        {"cap": math.inf},
+        {"cap": math.nan},
+        {"seed": 2.0, "cap": 1.0},
+        {"seed": 1.0, "cap": 1.0},
+    ],
+)
+def test_threshold_rejects_bad_search_parameters(kwargs):
+    with pytest.raises(ValueError):
+        stable_mu_threshold(build_dx(1, 0), None, get_tableau("fe"), 0.0, 64, **kwargs)
+
+
+def _reference_threshold(dx, dxx, p, nu, n, mode, rel_width=1e-6, seed=1e-8, cap=1e9):
+    """Bisection that rebuilds the whole spectrum at every probe."""
+
+    def stable(control):
+        grid = grid_for(mode, n, control, nu)
+        return full_spectrum(dx, dxx, grid, p).rho - 1.0 <= 1e-12
+
+    if not stable(seed):
+        raise ThresholdNotFoundError
+    lo = hi = seed
+    iterations = 0
+    while True:
+        hi *= 2.0
+        iterations += 1
+        if not stable(hi):
+            break
+        lo = hi
+        if hi > cap:
+            raise ThresholdNotFoundError
+    while hi - lo > rel_width * lo:
+        mid = 0.5 * (lo + hi)
+        iterations += 1
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    stable_beyond = any(stable(lo * 2.0**j) for j in range(1, 11))
+    return lo, iterations, rel_width, stable_beyond
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+@pytest.mark.parametrize("mode", [SweepMode.FIXED_MU, SweepMode.FIXED_MU_NU])
+@pytest.mark.parametrize("lr", [(1, 0), (3, 1), (12, 11), (21, 20)])
+def test_threshold_matches_per_probe_rebuild(lr, mode, n):
+    dx = build_dx(*lr)
+    dxx, nu = (build_dxx(2), 0.1) if mode is SweepMode.FIXED_MU_NU else (None, 0.0)
+    for name in ("fe", "rk3", "lsrk3", "rk4"):
+        p = stability_polynomial(get_tableau(name))
+        try:
+            want = _reference_threshold(dx, dxx, p, nu, n, mode)
+        except ThresholdNotFoundError:
+            with pytest.raises(ThresholdNotFoundError):
+                stable_mu_threshold(dx, dxx, p, nu, n, mode)
+            continue
+        got = stable_mu_threshold(dx, dxx, p, nu, n, mode)
+        assert got == ThresholdResult(*want), name
+
+
+def test_threshold_computes_eigenvalues_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return semidiscrete_eigs(*args)
+
+    monkeypatch.setattr(fulldisc, "semidiscrete_eigs", counting)
+    stable_mu_threshold(build_dx(3, 1), None, RK4, 0.0, 64)
+    assert len(calls) == 1
+    stable_mu_threshold(build_dx(1, 0), build_dxx(2), FE, 0.1, 64, SweepMode.FIXED_MU_NU)
+    assert len(calls) == 2
