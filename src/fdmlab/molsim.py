@@ -5,12 +5,20 @@ predict: scalar advection-diffusion of a pulse, and the flux-split wave
 system.  Stepping is plain explicit Runge-Kutta on real grid vectors in
 double precision; a step that pushes the solution past ``blowup_limit``
 raises BlowUpError rather than continuing into overflow.
+
+Each periodic stencil is applied as one gather: a (w, N) index array
+(j + k) mod N over the w nonzero-coefficient offsets k picks every
+neighbor at once, the rows are weighted and summed in offset order, and
+the sum is scaled by N^p.  A SimConfig builds the gather kernels of its
+operators once, on its first step, and reuses them for the whole run.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,11 +71,13 @@ class SimConfig:
     blowup_limit: float = 1e10
 
     def __post_init__(self) -> None:
-        if not (self.t_final > 0):
-            raise ValueError("t_final must be positive")
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError(f"t_final must be finite and positive, got {self.t_final!r}")
         if not (self.blowup_limit > 0):
             raise ValueError("blow-up limit must be positive")
         times = self.snapshot_times
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError(f"snapshot_times must be finite, got {times!r}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("snapshot times must be strictly increasing")
         if times and (times[0] < 0 or times[-1] > self.t_final):
@@ -84,6 +94,19 @@ class SimConfig:
     @property
     def is_wave(self) -> bool:
         return isinstance(self.operators, WaveDiscretization)
+
+    @cached_property
+    def kernels(self) -> tuple:
+        """Gather kernels of the operators, built on first use.
+
+        (dx, dxx) for the scalar equation, (dx_minus, dx_plus, dxx) for
+        the wave system; None where the operator is absent.
+        """
+        ops = self.operators
+        if self.is_wave:
+            ops = (ops.dx_minus, ops.dx_plus, ops.dxx)
+        n = self.grid.n_cells
+        return tuple(None if op is None else _gather_kernel(op, n) for op in ops)
 
 
 @dataclass
@@ -134,24 +157,47 @@ def gaussian_pulse(n_cells: int) -> np.ndarray:
     return np.exp(-100.0 * (x - 0.5) ** 2)
 
 
+def _gather_kernel(op: FdOperator, n: int):
+    """Periodic stencil application on length-n vectors as one gather.
+
+    Row i of the (w, n) index array holds (j + k_i) mod n for the i-th
+    nonzero-coefficient offset k_i.  The returned function weights the
+    gathered rows and sums them one row at a time in offset order,
+    starting from +0.0, then scales by n^p: the rounding, signed zeros
+    included, is that of accumulating c_k u_{j+k} into a zero vector.
+    It expects a 1-D float or complex vector of length n.
+    """
+    if n < op.spec.width:
+        raise ValueError("grid too small for the stencil")
+    keep = op.coeffs_float != 0.0
+    idx = (np.arange(n) + op.offsets[keep][:, None]) % n
+    coeffs = op.coeffs_float[keep][:, None]
+    scale = float(n) ** (1 if op.spec.kind is StencilKind.FIRST_DERIVATIVE else 2)
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        g = u[idx]
+        g *= coeffs
+        return np.add.reduce(g, axis=0, initial=0.0) * scale
+
+    return apply
+
+
 def apply_operator(op: FdOperator, u: np.ndarray, n_cells: int | None = None) -> np.ndarray:
     """Periodic stencil application scaled by 1/h^p, h = 1/len(u).
 
     p is the derivative order of the stencil (1 or 2); grid index
     arithmetic wraps around, matching the circulant symbol analysis.
+    Builds the gather kernel for len(u) on each call; a SimConfig builds
+    its kernels once and reuses them on every step.
     """
     u = np.asarray(u)
+    if u.ndim != 1:
+        raise ValueError(f"expected a 1-D grid vector, got shape {u.shape}")
     n = len(u)
     if n_cells is not None and n_cells != n:
         raise ValueError("n_cells disagrees with vector length")
-    if n < op.spec.width:
-        raise ValueError("grid too small for the stencil")
-    acc = np.zeros_like(u, dtype=np.result_type(u.dtype, np.float64))
-    for k, c in zip(op.offsets, op.coeffs_float):
-        if c != 0.0:
-            acc += c * np.roll(u, -k)
-    power = 1 if op.spec.kind is StencilKind.FIRST_DERIVATIVE else 2
-    return acc * float(n) ** power
+    u = u.astype(np.result_type(u.dtype, np.float64), copy=False)
+    return _gather_kernel(op, n)(u)
 
 
 def make_state(fields, t: float = 0.0) -> SimState:
@@ -163,37 +209,37 @@ def make_state(fields, t: float = 0.0) -> SimState:
 
 
 def _rhs_ade(fields, config: SimConfig):
-    dx, dxx = config.operators
+    dx, dxx = config.kernels
     (w,) = fields
-    out = -apply_operator(dx, w)
+    out = -dx(w)
     nu = config.grid.nu
     if nu != 0.0 and dxx is not None:
-        out += nu * apply_operator(dxx, w)
+        out += nu * dxx(w)
     return (out,)
 
 
 def _rhs_wave(fields, config: SimConfig):
-    wd: WaveDiscretization = config.operators
+    dx_minus, dx_plus, dxx = config.kernels
     v, p = fields
-    dm = apply_operator(wd.dx_minus, v + p)
-    dp = apply_operator(wd.dx_plus, v - p)
+    dm = dx_minus(v + p)
+    dp = dx_plus(v - p)
     dv = -0.5 * dm + 0.5 * dp
     dpdt = -0.5 * dm - 0.5 * dp
     nu = config.grid.nu
     if nu != 0.0:
-        dv = dv + nu * apply_operator(wd.dxx, v)
+        dv = dv + nu * dxx(v)
     return (dv, dpdt)
 
 
 def _erk_step(fields, rhs, config: SimConfig, dt: float):
     tab = config.tableau
-    a = tab.a_float
-    b = tab.b_float
+    a = tab.a_float.tolist()
+    b = tab.b_float.tolist()
     ks = []
     for i in range(tab.stages):
         stage = fields
         for j in range(i):
-            aij = a[i, j]
+            aij = a[i][j]
             if aij != 0.0:
                 stage = tuple(sv + dt * aij * kv for sv, kv in zip(stage, ks[j]))
         ks.append(rhs(stage, config))
@@ -211,7 +257,9 @@ def _step(state: SimState, config: SimConfig, rhs, dt: float | None) -> SimState
     if dt is None:
         dt = config.grid.dt
     new_fields = _erk_step(state.fields, rhs, config, dt)
-    linf = max(float(np.max(np.abs(f))) for f in new_fields)
+    linf = float(np.abs(new_fields[0]).max())
+    for f in new_fields[1:]:
+        linf = max(linf, float(np.abs(f).max()))
     t = state.t + dt
     if not math.isfinite(linf) or linf > config.blowup_limit:
         raise BlowUpError(t, config.blowup_limit)
@@ -244,11 +292,16 @@ def advance(state: SimState, config: SimConfig, t_target: float,
     step = step_wave if config.is_wave else step_ade
     tol = 1e-12 * max(1.0, abs(t_target))
     dt = config.grid.dt
+    eps = sys.float_info.epsilon
     while t_target - state.t > tol:
         rem = t_target - state.t
-        # the slack absorbs accumulated rounding in state.t, so a run of
-        # exactly n steps still lands on t_target instead of one ulp short
-        if rem <= dt * (1.0 + 1e-9):
+        # The slack absorbs the rounding that state.t has accumulated (at
+        # most one half-ulp of |t| per step), so a run of exactly n steps
+        # lands on t_target instead of adding a sliver step.  It is capped
+        # at dt / 2 so that even a very long run never stretches its last
+        # step beyond 1.5 dt.
+        slack = min(max(1e-9 * dt, 4 * eps * state.step_count * abs(t_target)), 0.5 * dt)
+        if rem <= dt + slack:
             state = step(state, config, rem)
             state.t = t_target
         else:

@@ -2,8 +2,9 @@
 
 Everything here recomputes quantities by a different route than the
 library: exact-rational linear solves for stencil coefficients, dense
-circulant matrices plus a general eigensolver for spectra, and matrix
-Horner evaluation for update operators.  Slow on purpose; tests keep the
+circulant matrices plus a general eigensolver for spectra, matrix
+Horner evaluation for update operators, and a per-offset ``np.roll``
+loop for periodic stencil application.  Slow on purpose; tests keep the
 sizes small.
 """
 
@@ -63,6 +64,21 @@ def dense_circulant(op: FdOperator, n):
     for k, c in zip(range(-op.left, op.right + 1), op.coeffs_float):
         m += c * shift_matrix(n, k)
     return float(n) ** p * m
+
+
+def roll_apply(op: FdOperator, u):
+    """Periodic stencil application by one np.roll per nonzero coefficient.
+
+    Accumulates c_k * u_{j+k} in offset order from a zero vector, then
+    scales by n^p: the reference the gather kernel must match bit for bit.
+    """
+    n = len(u)
+    acc = np.zeros_like(u, dtype=np.result_type(u.dtype, np.float64))
+    for k, c in zip(op.offsets, op.coeffs_float):
+        if c != 0.0:
+            acc += c * np.roll(u, -k)
+    p = 1 if op.spec.kind is StencilKind.FIRST_DERIVATIVE else 2
+    return acc * float(n) ** p
 
 
 def dense_ade_matrix(dx, dxx, n, nu):

@@ -377,6 +377,24 @@ def test_simulate_argument_validation(capsys, tmp_path):
     assert code == 2 and "positive" in err
 
 
+@pytest.mark.parametrize(
+    "extra,field",
+    [
+        (["--t-final", "inf"], "t_final"),
+        (["--t-final", "nan"], "t_final"),
+        (["--t-final", "1", "--snapshot-times", "0.5,nan"], "snapshot_times"),
+        (["--t-final", "1", "--snapshot-times=-inf,0.5"], "snapshot_times"),
+    ],
+)
+def test_simulate_rejects_non_finite_times(capsys, tmp_path, extra, field):
+    code, _, err = run(capsys, "simulate", "--tableau", "rk4", "--dx", "1", "0",
+                       "--mu", "0.5", "--n", "32", *extra,
+                       "--out", str(tmp_path / "x_"))
+    assert code == 2
+    assert field in err and "finite" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_rerun_is_byte_identical(capsys, tmp_path):
     argv = ["simulate", "--tableau", "rk2", "--dx", "2", "1", "--dxx", "1",
             "--nu", "0.05", "--mu", "0.3", "--n", "24", "--t-final", "0.25"]

@@ -28,7 +28,8 @@ from fdmlab import (
     step_wave,
     wave_symbols,
 )
-from oracles import matrix_poly
+from fdmlab import molsim
+from oracles import matrix_poly, roll_apply
 
 
 def scalar_config(lr, q, nu, mu, n, tableau="rk4", t_final=1.0, **kw):
@@ -76,6 +77,99 @@ def test_apply_operator_validation():
         apply_operator(build_dx(1, 0), np.ones(16), n_cells=32)
     with pytest.raises(ValueError):
         apply_operator(build_dx(21, 20), np.ones(8))
+
+
+def test_apply_operator_rejects_non_vector():
+    for bad in (np.ones((8, 3)), np.ones((1, 16)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="1-D"):
+            apply_operator(build_dx(1, 0), bad)
+
+
+def _stencils():
+    return [build_dx(l, r) for l in range(8) for r in range(8) if l + r] + [
+        build_dxx(q) for q in range(1, 6)
+    ]
+
+
+def test_apply_operator_bit_identical_to_roll_loop():
+    rng = np.random.default_rng(2718)
+    for op in _stencils():
+        w = op.spec.width
+        for n in (w, w + 1, *rng.integers(w, 1001, size=8)):
+            u = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5, n)
+            u[rng.random(n) < 0.2] = 0.0
+            u[rng.random(n) < 0.1] = -0.0
+            got = apply_operator(op, u)
+            assert got.dtype == np.float64
+            assert got.tobytes() == roll_apply(op, u).tobytes(), (op, n)
+        z = u + 1j * rng.standard_normal(n)
+        assert apply_operator(op, z).tobytes() == roll_apply(op, z).tobytes(), op
+        k = rng.integers(-9, 10, size=n)
+        assert apply_operator(op, k).tobytes() == roll_apply(op, k).tobytes(), op
+
+
+def test_apply_operator_sums_signed_zeros_from_positive_zero():
+    # c_k u_{j+k} is -0.0 for both offsets of dx(1,0) at j = 1 and 3
+    u = np.array([0.0, -0.0, 0.0, -0.0])
+    got = apply_operator(build_dx(1, 0), u)
+    assert got.tobytes() == roll_apply(build_dx(1, 0), u).tobytes()
+    assert not np.signbit(got).any()
+
+
+def test_steps_bit_identical_to_roll_reference():
+    n, nu, dt = 48, 0.1, 0.2 / 48
+    rng = np.random.default_rng(5)
+    dx, dxx = build_dx(3, 1), build_dxx(2)
+    cfg = SimConfig(GridConfig(n, nu, dt=dt), get_tableau("fe"), (dx, dxx), 1.0)
+    u = rng.standard_normal(n)
+    out = -roll_apply(dx, u)
+    out += nu * roll_apply(dxx, u)
+    got = step_ade(make_state((u,)), cfg).fields[0]
+    assert got.tobytes() == (u + dt * 1.0 * out).tobytes()
+
+    w = WaveDiscretization(dx, build_dx(1, 3), dxx)
+    cfg = SimConfig(GridConfig(n, nu, dt=dt), get_tableau("fe"), w, 1.0)
+    v, p = rng.standard_normal((2, n))
+    dm = roll_apply(w.dx_minus, v + p)
+    dp = roll_apply(w.dx_plus, v - p)
+    dv = -0.5 * dm + 0.5 * dp + nu * roll_apply(w.dxx, v)
+    dpdt = -0.5 * dm - 0.5 * dp
+    got = step_wave(make_state((v, p)), cfg).fields
+    assert got[0].tobytes() == (v + dt * 1.0 * dv).tobytes()
+    assert got[1].tobytes() == (p + dt * 1.0 * dpdt).tobytes()
+
+
+def test_config_builds_each_kernel_once(monkeypatch):
+    built = []
+    real = molsim._gather_kernel
+
+    def counting(op, n):
+        built.append(op)
+        return real(op, n)
+
+    monkeypatch.setattr(molsim, "_gather_kernel", counting)
+    cfg = scalar_config((3, 1), 2, 0.01, 0.4, 32, tableau="rk4")
+    state = make_state((gaussian_pulse(32),))
+    for _ in range(10):
+        state = step_ade(state, cfg)
+    assert built == list(cfg.operators)
+
+    built.clear()
+    w = WaveDiscretization(build_dx(3, 1), build_dx(1, 3), build_dxx(2))
+    wcfg = SimConfig(GridConfig(32, 0.05, dt=0.01), get_tableau("lsrk3"), w, 1.0)
+    run_simulation(wcfg, (gaussian_pulse(32), gaussian_pulse(32)))
+    assert built == [w.dx_minus, w.dx_plus, w.dxx]
+
+    built.clear()
+    pure = scalar_config((2, 1), 0, 0.0, 0.4, 32, tableau="fe")
+    run_simulation(pure, (gaussian_pulse(32),))
+    assert built == [pure.operators[0]]
+
+
+def test_kernel_rejects_grid_narrower_than_stencil():
+    cfg = scalar_config((21, 20), 0, 0.0, 0.5, 16)
+    with pytest.raises(ValueError, match="too small"):
+        step_ade(make_state((np.ones(16),)), cfg)
 
 
 def test_forward_euler_step_definition():
@@ -165,6 +259,26 @@ def test_advance_lands_exactly_and_records():
     assert len(times) <= 2 + state.step_count // 5 + 1
 
 
+def test_advance_takes_no_sliver_step():
+    # 100000 additions of dt leave state.t about 1e-10 short of t_final,
+    # more than the 1e-12 t landing tolerance: the last step must absorb it
+    cfg = scalar_config((2, 0), 0, 0.0, 0.03, 100, tableau="fe",
+                        t_final=100000 * (0.03 / 100))
+    state, stopped = advance(make_state((gaussian_pulse(100),)), cfg, cfg.t_final,
+                             record_every=4096)
+    assert not stopped
+    assert state.step_count == 100000
+    assert state.t == cfg.t_final
+
+
+def test_advance_splits_off_a_fractional_last_step():
+    cfg = scalar_config((1, 0), 0, 0.0, 0.5, 32)
+    dt = cfg.grid.dt
+    state, _ = advance(make_state((gaussian_pulse(32),)), cfg, 10.4 * dt)
+    assert state.step_count == 11
+    assert state.t == 10.4 * dt
+
+
 def test_advance_stop_level():
     cfg = scalar_config((1, 0), 0, 0.0, 0.5, 32, t_final=10.0)
     state, stopped = advance(
@@ -197,6 +311,22 @@ def test_config_validation():
             operators=build_dx(1, 0),
             t_final=1.0,
         )
+
+
+@pytest.mark.parametrize(
+    "kw,field",
+    [
+        (dict(t_final=math.inf), "t_final"),
+        (dict(t_final=math.nan), "t_final"),
+        (dict(snapshot_times=(math.nan,)), "snapshot_times"),
+        (dict(snapshot_times=(0.25, math.nan)), "snapshot_times"),
+        (dict(snapshot_times=(-math.inf, 0.5)), "snapshot_times"),
+        (dict(snapshot_times=(0.5, math.inf)), "snapshot_times"),
+    ],
+)
+def test_config_rejects_non_finite_times(kw, field):
+    with pytest.raises(ValueError, match=field):
+        scalar_config((1, 0), 0, 0.0, 0.5, 32, **kw)
 
 
 def test_stable_run_l2_never_grows():
