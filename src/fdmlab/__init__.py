@@ -23,7 +23,6 @@ from .stencil import (
 from .spectrum import (
     AdeSymbol,
     BoundConstants,
-    TrajectorySample,
     ade_symbol,
     advection_symbol,
     asymptotic_exponent,
@@ -63,7 +62,6 @@ from .fulldisc import (
 from .wavesys import (
     SpectrumClass,
     WaveDiscretization,
-    WaveEigenPair,
     classify_spectrum,
     grid_eigenpairs,
     sample_wave_trajectory,
@@ -92,7 +90,7 @@ __all__ = [
     "__version__",
     "FdOperator", "StabilityClass", "StencilKind", "StencilSpec",
     "build_dx", "build_dxx", "classify", "mirror",
-    "AdeSymbol", "BoundConstants", "TrajectorySample",
+    "AdeSymbol", "BoundConstants",
     "ade_symbol", "advection_symbol", "asymptotic_exponent",
     "bound_constants", "check_global_bound", "diffusion_symbol",
     "sample_grid", "sample_trajectory", "upwind_symbol_real_part",
@@ -105,7 +103,7 @@ __all__ = [
     "ThresholdNotFoundError", "ThresholdResult", "full_spectrum",
     "grid_for", "instability_curve", "semidiscrete_eigs",
     "stable_mu_threshold",
-    "SpectrumClass", "WaveDiscretization", "WaveEigenPair",
+    "SpectrumClass", "WaveDiscretization",
     "classify_spectrum", "grid_eigenpairs", "sample_wave_trajectory",
     "wave_bound_check", "wave_eigs", "wave_semistable_check",
     "wave_symbols",

@@ -7,8 +7,9 @@ CSV with a header row, comma separator, LF line endings and shortest
 round-trip floats, or small JSON objects.  File-writing runs also emit a
 run manifest JSON (command, parameters, version, outputs, duration) next
 to the outputs, and all files are written atomically (temp file plus
-rename).  FDMLAB_THREADS caps internal parallelism; sweeps give results
-identical to sequential execution.
+rename).  Each ``cmd_*`` function yields (path or None, text) pairs;
+:func:`_run_command` sends None to stdout, writes every path as it
+arrives and then writes the one manifest.
 
 Exit codes: 0 success, 2 usage or validation error, 3 internal invariant
 violation.
@@ -22,7 +23,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,29 +32,14 @@ from .stencil import FdOperator, build_dx, build_dxx, mirror
 
 DEFAULT_TRAJECTORY_CONFIGS = (((3, 1), 2), ((21, 20), 20), ((3, 1), 20), ((21, 20), 2))
 DEFAULT_R_LIST = "0.1,1,10"
+# Commands whose --out is a file-name prefix; for the others it names the
+# one output file.  The manifest goes to out + "manifest.json" for the
+# former and out + ".manifest.json" for the latter.
+_PREFIX_COMMANDS = ("trajectory", "simulate")
 
 
 def _fmt(x) -> str:
     return repr(float(x))
-
-
-def thread_count() -> int:
-    env = os.environ.get("FDMLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"FDMLAB_THREADS must be an integer, got {env!r}") from exc
-    return min(8, os.cpu_count() or 1)
-
-
-def _pmap(fn, items):
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -110,17 +95,11 @@ def _write_text_atomic(path: Path, text: str) -> None:
 
 
 def _csv_text(header: str, rows) -> str:
+    """CSV with one line per row.  str() of a Python float is its shortest
+    round-trip repr, so float columns are passed as ``array.tolist()``."""
     lines = [header]
     lines.extend(",".join(str(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def _emit(text: str, out: str | None, outputs: list) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        _write_text_atomic(Path(out), text)
-        outputs.append(str(out))
 
 
 def _manifest_params(args) -> dict:
@@ -128,16 +107,32 @@ def _manifest_params(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _write_manifest(command: str, args, outputs: list, t0: float,
-                    manifest_path: Path) -> None:
+def _write_manifest(args, outputs: list, t0: float, manifest_path: Path) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "params": _manifest_params(args),
         "version": __version__,
         "outputs": [str(p) for p in outputs],
         "duration_s": time.perf_counter() - t0,
     }
     _write_text_atomic(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+def _run_command(args) -> int:
+    """Run one subcommand, writing each (path or None, text) pair it yields
+    as it comes, then the manifest if any file was written."""
+    t0 = time.perf_counter()
+    outputs: list = []
+    for path, text in args.func(args):
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            _write_text_atomic(Path(path), text)
+            outputs.append(str(path))
+    if outputs:
+        suffix = "manifest.json" if args.command in _PREFIX_COMMANDS else ".manifest.json"
+        _write_manifest(args, outputs, t0, Path(args.out + suffix))
+    return 0
 
 
 def _resolve_tableau(spec_str: str) -> timeint.ButcherTableau:
@@ -156,8 +151,7 @@ def _dx_arg(pair) -> FdOperator:
     return build_dx(int(pair[0]), int(pair[1]))
 
 
-def cmd_coeffs(args) -> int:
-    t0 = time.perf_counter()
+def cmd_coeffs(args):
     if args.kind == "dx":
         if len(args.extent) != 2:
             raise ValueError("coeffs dx takes two extents: L R")
@@ -170,15 +164,10 @@ def cmd_coeffs(args) -> int:
         (k, c.numerator, c.denominator, _fmt(c))
         for k, c in zip(range(-op.left, op.right + 1), op.coeffs)
     ]
-    outputs: list = []
-    _emit(_csv_text("k,numerator,denominator,float", rows), args.out, outputs)
-    if outputs:
-        _write_manifest("coeffs", args, outputs, t0, Path(args.out + ".manifest.json"))
-    return 0
+    yield args.out, _csv_text("k,numerator,denominator,float", rows)
 
 
-def cmd_trajectory(args) -> int:
-    t0 = time.perf_counter()
+def cmd_trajectory(args):
     if (args.dx is None) != (args.dxx is None):
         raise ValueError("give both --dx and --dxx or neither")
     if args.dx is not None:
@@ -188,22 +177,18 @@ def cmd_trajectory(args) -> int:
     r_list = parse_float_list(args.r_list)
     if any(r < 0 for r in r_list):
         raise ValueError("R values must be non-negative")
-    outputs: list = []
     for (l, r), q in configs:
         dx = build_dx(l, r)
         dxx = build_dxx(q)
         for rv in r_list:
             sym = spectrum.AdeSymbol(dx, dxx, rv)
-            samples = spectrum.sample_trajectory(sym, args.samples)
-            rows = [(_fmt(s.theta), _fmt(s.x), _fmt(s.y)) for s in samples]
-            name = f"{args.out}dx{l}_{r}_dxx{q}_R{_fmt(rv)}.csv"
-            _write_text_atomic(Path(name), _csv_text("theta,re,im", rows))
-            outputs.append(name)
-    _write_manifest("trajectory", args, outputs, t0, Path(args.out + "manifest.json"))
-    return 0
+            th, lam = spectrum.sample_trajectory(sym, args.samples)
+            rows = zip(th.tolist(), lam.real.tolist(), lam.imag.tolist())
+            yield (f"{args.out}dx{l}_{r}_dxx{q}_R{_fmt(rv)}.csv",
+                   _csv_text("theta,re,im", rows))
 
 
-def cmd_tableau_check(args) -> int:
+def cmd_tableau_check(args):
     tab = timeint.tableau_from_json(args.file)
     p = timeint.stability_polynomial(tab)
     info = {
@@ -212,12 +197,10 @@ def cmd_tableau_check(args) -> int:
         "order": tab.order,
         "p_coeffs": [float(c) for c in p.coeffs],
     }
-    sys.stdout.write(json.dumps(info, sort_keys=True) + "\n")
-    return 0
+    yield None, json.dumps(info, sort_keys=True) + "\n"
 
 
-def cmd_index_sweep(args) -> int:
-    t0 = time.perf_counter()
+def cmd_index_sweep(args):
     mode = fulldisc.SweepMode(args.mode)
     if mode is fulldisc.SweepMode.FIXED_MU:
         if args.mu is None:
@@ -231,37 +214,25 @@ def cmd_index_sweep(args) -> int:
     dxx = build_dxx(args.dxx) if args.dxx is not None else None
     tab = _resolve_tableau(args.tableau)
     n_list = parse_int_list(args.n)
-    points = fulldisc.instability_curve(
-        dx, dxx, tab, control, n_list, mode, nu=args.nu, map_fn=_pmap
-    )
+    points = fulldisc.instability_curve(dx, dxx, tab, control, n_list, mode, nu=args.nu)
     rows = [
         (pt.n_cells, _fmt(pt.control), _fmt(pt.rho),
          "" if pt.instability_index is None else _fmt(pt.instability_index))
         for pt in points
     ]
-    outputs: list = []
-    _emit(_csv_text("N,mu_or_mu_nu,rho,instability_index", rows), args.out, outputs)
-    if outputs:
-        _write_manifest("index-sweep", args, outputs, t0, Path(args.out + ".manifest.json"))
-    return 0
+    yield args.out, _csv_text("N,mu_or_mu_nu,rho,instability_index", rows)
 
 
-def cmd_threshold(args) -> int:
-    t0 = time.perf_counter()
+def cmd_threshold(args):
     mode = fulldisc.SweepMode(args.mode)
     dx = _dx_arg(args.dx) if args.dx else None
     dxx = build_dxx(args.dxx) if args.dxx is not None else None
     tab = _resolve_tableau(args.tableau)
     res = fulldisc.stable_mu_threshold(dx, dxx, tab, args.nu, args.n, mode)
-    text = json.dumps(
+    yield args.out, json.dumps(
         {"mu_star": res.mu_star, "iterations": res.iterations, "tol": res.tol},
         sort_keys=True,
     ) + "\n"
-    outputs: list = []
-    _emit(text, args.out, outputs)
-    if outputs:
-        _write_manifest("threshold", args, outputs, t0, Path(args.out + ".manifest.json"))
-    return 0
 
 
 def _wave_from_args(args) -> wavesys.WaveDiscretization:
@@ -270,43 +241,26 @@ def _wave_from_args(args) -> wavesys.WaveDiscretization:
     return wavesys.WaveDiscretization(dx_minus, dx_plus, build_dxx(args.dxx))
 
 
-def cmd_wave_spectrum(args) -> int:
-    t0 = time.perf_counter()
+def cmd_wave_spectrum(args):
     w = _wave_from_args(args)
-    pairs = wavesys.sample_wave_trajectory(w, args.r_value, args.samples)
-    rows = [
-        (_fmt(p.theta), _fmt(p.lambda1.real), _fmt(p.lambda1.imag),
-         _fmt(p.lambda2.real), _fmt(p.lambda2.imag), int(p.jordan))
-        for p in pairs
-    ]
-    outputs: list = []
-    _emit(_csv_text("theta,re1,im1,re2,im2,jordan", rows), args.out, outputs)
-    if outputs:
-        _write_manifest("wave-spectrum", args, outputs, t0, Path(args.out + ".manifest.json"))
-    return 0
+    th, lam1, lam2, jordan = wavesys.sample_wave_trajectory(w, args.r_value, args.samples)
+    rows = zip(th.tolist(), lam1.real.tolist(), lam1.imag.tolist(),
+               lam2.real.tolist(), lam2.imag.tolist(), jordan.astype(int).tolist())
+    yield args.out, _csv_text("theta,re1,im1,re2,im2,jordan", rows)
 
 
-def cmd_wave_classify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_wave_classify(args):
     w = _wave_from_args(args)
     cls = wavesys.classify_spectrum(w, args.nu, args.n)
-    pairs = wavesys.grid_eigenpairs(w, args.nu * args.n, args.n)
-    max_im = max(
-        max(abs(p.lambda1.imag), abs(p.lambda2.imag)) for p in pairs
-    )
-    text = json.dumps(
+    _, lam1, lam2, _ = wavesys.grid_eigenpairs(w, args.nu * args.n, args.n)
+    max_im = float(np.maximum(np.abs(lam1.imag), np.abs(lam2.imag)).max())
+    yield args.out, json.dumps(
         {"nu": args.nu, "N": args.n, "class": cls.value, "max_abs_im": max_im},
         sort_keys=True,
     ) + "\n"
-    outputs: list = []
-    _emit(text, args.out, outputs)
-    if outputs:
-        _write_manifest("wave-classify", args, outputs, t0, Path(args.out + ".manifest.json"))
-    return 0
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args):
     tab = _resolve_tableau(args.tableau)
     if args.mu <= 0:
         raise ValueError("--mu must be positive")
@@ -334,16 +288,10 @@ def cmd_simulate(args) -> int:
         snapshot_times=snaps, blowup_limit=args.blowup_limit,
     )
     result = molsim.run_simulation(config, initial)
-    outputs: list = []
-    x = np.arange(args.n) / args.n
+    x = (np.arange(args.n) / args.n).tolist()
     for i, (t_snap, fields) in enumerate(result.snapshots):
-        rows = [
-            tuple(_fmt(v) for v in vals)
-            for vals in zip(x, *fields)
-        ]
-        name = f"{args.out}snap_{i:03d}.csv"
-        _write_text_atomic(Path(name), _csv_text(header, rows))
-        outputs.append(name)
+        rows = zip(x, *(f.tolist() for f in fields))
+        yield f"{args.out}snap_{i:03d}.csv", _csv_text(header, rows)
     summary = {
         "blowup": result.blowup,
         "snapshot_times": [t for t, _ in result.snapshots],
@@ -351,11 +299,7 @@ def cmd_simulate(args) -> int:
     }
     if result.blowup:
         summary["t_blowup"] = result.t_blowup
-    name = f"{args.out}summary.json"
-    _write_text_atomic(Path(name), json.dumps(summary, sort_keys=True) + "\n")
-    outputs.append(name)
-    _write_manifest("simulate", args, outputs, t0, Path(args.out + "manifest.json"))
-    return 0
+    yield f"{args.out}summary.json", json.dumps(summary, sort_keys=True) + "\n"
 
 
 def _add_dx_flags(p, minus_plus: bool = False) -> None:
@@ -455,7 +399,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run_command(args)
     except fulldisc.ThresholdNotFoundError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -193,27 +193,24 @@ def full_spectrum(dx: FdOperator | None, dxx: FdOperator | None, grid: GridConfi
 
 def instability_curve(dx: FdOperator | None, dxx: FdOperator | None,
                       method, control: float,
-                      n_list, mode: SweepMode, nu: float = 0.0,
-                      map_fn=None) -> list[SweepPoint]:
+                      n_list, mode: SweepMode, nu: float = 0.0) -> list[SweepPoint]:
     """Instability index against resolution at a fixed control parameter.
 
     ``method`` is a tableau or its stability polynomial.  Entries keep the
     input order; index None marks resolutions stable at tolerance (a curve
-    "breaks" where a tail of Nones begins).  ``map_fn`` may supply a
-    parallel map; points are independent, so the result is unchanged.
+    "breaks" where a tail of Nones begins).
     """
     p = _as_poly(method)
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("resolutions must be strictly increasing")
 
-    def one(n: int) -> SweepPoint:
-        grid = grid_for(mode, n, control, nu)
-        rep = full_spectrum(dx, dxx, grid, p)
+    # one spectrum alive at a time: each is freed when point() returns
+    def point(n: int) -> SweepPoint:
+        rep = full_spectrum(dx, dxx, grid_for(mode, n, control, nu), p)
         return SweepPoint(n, control, rep.rho, rep.instability_index)
 
-    runner = map_fn if map_fn is not None else map
-    return list(runner(one, n_list))
+    return [point(n) for n in n_list]
 
 
 def stable_mu_threshold(dx: FdOperator | None, dxx: FdOperator | None,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -45,12 +45,17 @@ __all__ = [
 
 
 class BlowUpError(RuntimeError):
-    """Solution magnitude crossed the blow-up limit at time ``time``."""
+    """Solution magnitude crossed the blow-up limit at time ``time``.
 
-    def __init__(self, time: float, limit: float):
+    ``state`` is the state the failed step started from: the last one
+    within the limit, its L-inf history included.
+    """
+
+    def __init__(self, time: float, limit: float, state: SimState | None = None):
         super().__init__(f"solution exceeded {limit:g} at t = {time:g}")
         self.time = time
         self.limit = limit
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,9 @@ class SimState:
 
     ``fields`` holds one vector for the scalar equation, (v, p) for the
     wave system.  ``linf_history`` collects (t, max|fields|) samples as
-    the run advances; the list object travels with successor states.
+    the run advances.  Each :func:`advance` call copies it once and shares
+    the copy with the states it steps through, so the state passed in
+    keeps its own history.
     """
 
     t: float
@@ -262,7 +269,7 @@ def _step(state: SimState, config: SimConfig, rhs, dt: float | None) -> SimState
         linf = max(linf, float(np.abs(f).max()))
     t = state.t + dt
     if not math.isfinite(linf) or linf > config.blowup_limit:
-        raise BlowUpError(t, config.blowup_limit)
+        raise BlowUpError(t, config.blowup_limit, state)
     return SimState(t=t, fields=new_fields, step_count=state.step_count + 1,
                     linf_history=state.linf_history, last_linf=linf)
 
@@ -285,14 +292,16 @@ def advance(state: SimState, config: SimConfig, t_target: float,
             record_every: int = 1, stop_linf: float | None = None):
     """Step until ``t_target``, shortening the last step to land exactly.
 
-    Records (t, L-inf) every ``record_every`` steps plus the final level.
-    Returns (state, stopped_early); the flag is set when ``stop_linf`` was
-    reached first.
+    Records (t, L-inf) every ``record_every`` steps plus the final level,
+    in a copy of the history: ``state`` itself is not changed.  Returns
+    (state, stopped_early); the flag is set when ``stop_linf`` was reached
+    first.
     """
     step = step_wave if config.is_wave else step_ade
     tol = 1e-12 * max(1.0, abs(t_target))
     dt = config.grid.dt
     eps = sys.float_info.epsilon
+    state = replace(state, linf_history=list(state.linf_history))
     while t_target - state.t > tol:
         rem = t_target - state.t
         # The slack absorbs the rounding that state.t has accumulated (at
@@ -315,33 +324,41 @@ def advance(state: SimState, config: SimConfig, t_target: float,
     return state, False
 
 
-def run_simulation(config: SimConfig, initial_fields) -> SimResult:
+def _drive(config: SimConfig, state: SimState, stop_linf: float | None = None):
     """Advance through the snapshot times up to t_final.
 
-    A blow-up ends the run and is reported in the result instead of
-    propagating.
+    Copies the fields at every snapshot time (t = 0 included) and records
+    L-inf at a cadence of about 4096 samples per run.  Returns
+    (snapshots, state, t_blowup): a blow-up or reaching ``stop_linf`` ends
+    the run early, and t_blowup is None unless the run blew up.
     """
-    state = make_state(initial_fields)
     targets = list(config.snapshot_times)
     if not targets or targets[-1] != config.t_final:
         targets.append(config.t_final)
     total_steps = max(1, int(round(config.t_final / config.grid.dt)))
     cadence = max(1, total_steps // 4096)
     snapshots = []
-    blowup = False
-    t_blowup = None
     for t_snap in targets:
-        if t_snap == 0.0:
-            snapshots.append((0.0, tuple(f.copy() for f in state.fields)))
-            continue
-        try:
-            state, _ = advance(state, config, t_snap, record_every=cadence)
-        except BlowUpError as exc:
-            blowup = True
-            t_blowup = exc.time
-            break
+        if t_snap != 0.0:
+            try:
+                state, stopped = advance(state, config, t_snap,
+                                         record_every=cadence, stop_linf=stop_linf)
+            except BlowUpError as exc:
+                return snapshots, exc.state, exc.time
+            if stopped:
+                break
         snapshots.append((state.t, tuple(f.copy() for f in state.fields)))
-    return SimResult(snapshots, state.linf_history, blowup, t_blowup, state)
+    return snapshots, state, None
+
+
+def run_simulation(config: SimConfig, initial_fields) -> SimResult:
+    """Advance through the snapshot times up to t_final.
+
+    A blow-up ends the run and is reported in the result instead of
+    propagating; ``final_state`` is then the last state within the limit.
+    """
+    snapshots, state, t_blowup = _drive(config, make_state(initial_fields))
+    return SimResult(snapshots, state.linf_history, t_blowup is not None, t_blowup, state)
 
 
 def run_gaussian_experiment(config: SimConfig, stop_factor: float | None = None
@@ -359,35 +376,13 @@ def run_gaussian_experiment(config: SimConfig, stop_factor: float | None = None
         raise ValueError("the pulse experiment requires nu = 0")
     w0 = gaussian_pulse(config.grid.n_cells)
     linf0 = float(np.max(np.abs(w0)))
-    state = make_state((w0,))
-    targets = list(config.snapshot_times)
-    if not targets or targets[-1] != config.t_final:
-        targets.append(config.t_final)
-    total_steps = max(1, int(round(config.t_final / config.grid.dt)))
-    cadence = max(1, total_steps // 4096)
     stop_linf = stop_factor * linf0 if stop_factor is not None else None
-    snapshots = []
-    blowup = False
-    t_blowup = None
-    stopped = False
-    for t_snap in targets:
-        if t_snap == 0.0:
-            snapshots.append((0.0, state.fields[0].copy()))
-            continue
-        try:
-            state, stopped = advance(state, config, t_snap,
-                                     record_every=cadence, stop_linf=stop_linf)
-        except BlowUpError as exc:
-            blowup = True
-            t_blowup = exc.time
-            break
-        if stopped:
-            break
-        snapshots.append((state.t, state.fields[0].copy()))
+    snapshots, state, t_blowup = _drive(config, make_state((w0,)), stop_linf)
+    snapshots = [(t, fields[0]) for t, fields in snapshots]
     peak = max(v for _, v in state.linf_history)
     errors = {}
     for t_snap, w in snapshots:
         if t_snap > 0 and abs(t_snap - round(t_snap)) < 1e-9:
             errors[t_snap] = float(np.max(np.abs(w - w0)))
-    return GaussianReport(snapshots, state.linf_history, blowup, t_blowup,
+    return GaussianReport(snapshots, state.linf_history, t_blowup is not None, t_blowup,
                           peak / linf0, errors)

@@ -29,7 +29,6 @@ import numpy as np
 from .stencil import FdOperator, StabilityClass, StencilKind, classify
 
 __all__ = [
-    "TrajectorySample",
     "AdeSymbol",
     "BoundConstants",
     "advection_symbol",
@@ -72,22 +71,6 @@ class AdeSymbol:
         _require_dxx(self.dxx)
         if not (self.r >= 0):
             raise ValueError("R must be non-negative")
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One point of the symbol curve: lam = x + i y at angle theta."""
-
-    theta: float
-    lam: complex
-
-    @property
-    def x(self) -> float:
-        return self.lam.real
-
-    @property
-    def y(self) -> float:
-        return self.lam.imag
 
 
 @dataclass(frozen=True)
@@ -164,17 +147,20 @@ def ade_symbol(sym: AdeSymbol, theta):
     return adv + sym.r * dif
 
 
-def sample_trajectory(sym: AdeSymbol, n_samples: int = 4096) -> list[TrajectorySample]:
+def sample_trajectory(sym: AdeSymbol,
+                      n_samples: int = 4096) -> tuple[np.ndarray, np.ndarray]:
     """Sample the symbol curve on the uniform angle grid.
 
-    With R = inf the samples trace the (real) diffusion symbol alone.
+    Returns ``(theta, lam)``: the float angles of :func:`sample_grid` and
+    the complex symbol values lam = x + i y there.  With R = inf the
+    samples trace the (real) diffusion symbol alone.
     """
     th = sample_grid(n_samples)
     if math.isinf(sym.r):
         lam = diffusion_symbol(sym.dxx, th).astype(complex)
     else:
         lam = ade_symbol(sym, th)
-    return [TrajectorySample(float(t), complex(v)) for t, v in zip(th, lam)]
+    return th, lam
 
 
 def upwind_symbol_real_part(dx: FdOperator, theta):

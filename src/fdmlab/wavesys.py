@@ -40,7 +40,6 @@ from .stencil import FdOperator, StabilityClass, StencilKind, classify, mirror
 
 __all__ = [
     "WaveDiscretization",
-    "WaveEigenPair",
     "SpectrumClass",
     "wave_symbols",
     "wave_eigs",
@@ -84,19 +83,6 @@ class WaveDiscretization:
         )
 
 
-@dataclass(frozen=True)
-class WaveEigenPair:
-    """Both eigenvalues of the 2 x 2 mode block at one angle.
-
-    ``jordan`` marks a defective (repeated, non-diagonalizable) block.
-    """
-
-    theta: float
-    lambda1: complex
-    lambda2: complex
-    jordan: bool
-
-
 class SpectrumClass(Enum):
     ALL_REAL = "AllReal"
     HAS_COMPLEX = "HasComplex"
@@ -111,7 +97,13 @@ def wave_symbols(w: WaveDiscretization, theta):
 
 
 def _eig_arrays(w: WaveDiscretization, r: float, th: np.ndarray):
-    """Vectorized eigenvalue pairs plus the jordan mask."""
+    """Vectorized eigenvalue pairs plus the jordan mask.
+
+    Every public entry point reaches the pair formula through here, so
+    this is where R is checked.
+    """
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"R must be finite and non-negative, got {r!r}")
     am, ap, b = wave_symbols(w, th)
     rb = r * b
     s = am + ap
@@ -131,42 +123,40 @@ def _eig_arrays(w: WaveDiscretization, r: float, th: np.ndarray):
     return lam1, lam2, jordan
 
 
-def wave_eigs(w: WaveDiscretization, r: float, theta: float) -> WaveEigenPair:
-    """Eigenvalue pair of the mode block at one angle, both branches."""
-    if not (r >= 0):
-        raise ValueError("R must be non-negative")
+def wave_eigs(w: WaveDiscretization, r: float,
+              theta: float) -> tuple[complex, complex, bool]:
+    """Eigenvalue pair of the mode block at one angle, both branches.
+
+    Returns ``(lam1, lam2, jordan)``; ``jordan`` marks a defective
+    (repeated, non-diagonalizable) block.
+    """
     lam1, lam2, jordan = _eig_arrays(w, r, np.asarray([float(theta)]))
-    return WaveEigenPair(float(theta), complex(lam1[0]), complex(lam2[0]), bool(jordan[0]))
+    return complex(lam1[0]), complex(lam2[0]), bool(jordan[0])
 
 
-def sample_wave_trajectory(w: WaveDiscretization, r: float,
-                           n_samples: int = 4096) -> list[WaveEigenPair]:
-    """Eigenvalue pairs over the uniform angle grid."""
-    if not (r >= 0):
-        raise ValueError("R must be non-negative")
+def sample_wave_trajectory(w: WaveDiscretization, r: float, n_samples: int = 4096):
+    """Eigenvalue pairs over the uniform angle grid.
+
+    Returns arrays ``(theta, lam1, lam2, jordan)``: float angles, the two
+    complex eigenvalues and the boolean defective-block mask.
+    """
     th = sample_grid(n_samples)
-    lam1, lam2, jordan = _eig_arrays(w, r, th)
-    return [
-        WaveEigenPair(float(t), complex(a), complex(b), bool(j))
-        for t, a, b, j in zip(th, lam1, lam2, jordan)
-    ]
+    return (th, *_eig_arrays(w, r, th))
 
 
-def grid_eigenpairs(w: WaveDiscretization, r: float, n_cells: int) -> list[WaveEigenPair]:
+def grid_eigenpairs(w: WaveDiscretization, r: float, n_cells: int):
     """Eigenvalue pairs at the grid angles 2 pi k / n, k = 1..n.
 
-    The k = n angle is mapped to 0 so the consistency pair is exact.
+    Returns arrays ``(theta, lam1, lam2, jordan)`` as
+    :func:`sample_wave_trajectory` does.  The k = n angle is mapped to 0
+    so the consistency pair is exact.
     """
     if n_cells < 2:
         raise ValueError("need at least 2 cells")
     k = np.arange(1, n_cells + 1)
     th = 2.0 * math.pi * k / n_cells
     th[-1] = 0.0
-    lam1, lam2, jordan = _eig_arrays(w, r, th)
-    return [
-        WaveEigenPair(float(t), complex(a), complex(b), bool(j))
-        for t, a, b, j in zip(th, lam1, lam2, jordan)
-    ]
+    return (th, *_eig_arrays(w, r, th))
 
 
 def _one_sided_real_parts(w: WaveDiscretization, th: np.ndarray):
@@ -194,8 +184,6 @@ def wave_semistable_check(w: WaveDiscretization, r: float,
     right-hand sides are sums and products of terms with certain signs, so
     the checks stay meaningful where the raw expressions would cancel.
     """
-    if not (r >= 0):
-        raise ValueError("R must be non-negative")
     th = sample_grid(n_samples)
     zero = th == 0.0
     lam1, lam2, _ = _eig_arrays(w, r, th)
@@ -235,13 +223,7 @@ def classify_spectrum(w: WaveDiscretization, nu: float, n_cells: int) -> Spectru
         raise ValueError("spectrum classification applies to symmetric pairs")
     if not (nu >= 0):
         raise ValueError("viscosity must be non-negative")
-    if n_cells < 2:
-        raise ValueError("need at least 2 cells")
-    r = nu * n_cells
-    k = np.arange(1, n_cells + 1)
-    th = 2.0 * math.pi * k / n_cells
-    th[-1] = 0.0
-    lam1, lam2, _ = _eig_arrays(w, r, th)
+    _, lam1, lam2, _ = grid_eigenpairs(w, nu * n_cells, n_cells)
     for lam in (lam1, lam2):
         if np.any(np.abs(lam.imag) > 1e-10 * (1.0 + np.abs(lam))):
             return SpectrumClass.HAS_COMPLEX
@@ -257,8 +239,6 @@ def wave_bound_check(w: WaveDiscretization, r: float, n_samples: int = 4096,
     """
     if not w.symmetric:
         raise ValueError("bound check applies to symmetric pairs")
-    if not (r >= 0):
-        raise ValueError("R must be non-negative")
     bc = bound_constants(w.dx_minus, w.dxx, n_grid=max(n_samples, 4096))
     L = bc.L2 / (2.0 * bc.L1)
     th = sample_grid(n_samples)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end, in process."""
 
+import hashlib
 import json
 import math
 import os
@@ -40,18 +41,6 @@ def test_parse_float_list():
     assert cli.parse_float_list("0.1,1,10") == [0.1, 1.0, 10.0]
     with pytest.raises(ValueError):
         cli.parse_float_list("")
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("FDMLAB_THREADS", "3")
-    assert cli.thread_count() == 3
-    monkeypatch.setenv("FDMLAB_THREADS", "0")
-    assert cli.thread_count() == 1
-    monkeypatch.setenv("FDMLAB_THREADS", "many")
-    with pytest.raises(ValueError):
-        cli.thread_count()
-    monkeypatch.delenv("FDMLAB_THREADS")
-    assert cli.thread_count() >= 1
 
 
 # ------------------------------------------------------------- coeffs
@@ -238,18 +227,6 @@ def test_index_sweep_unknown_tableau(capsys):
     assert code == 2 and "rk99" in err
 
 
-def test_index_sweep_thread_determinism(capsys, tmp_path, monkeypatch):
-    argv = ["index-sweep", "--tableau", "rk3", "--dx", "2", "1",
-            "--mu", "0.8", "--n", "16:64"]
-    outs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("FDMLAB_THREADS", threads)
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-
-
 # ----------------------------------------------------------- threshold
 
 
@@ -310,6 +287,20 @@ def test_wave_classify(capsys):
     res = json.loads(out)
     assert res["class"] == "HasComplex"
     assert res["max_abs_im"] > 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["wave-classify", "--dxx", "1", "--nu", "inf", "--n", "16"],
+    ["wave-classify", "--dxx", "1", "--nu", "1e308", "--n", "16"],
+    ["wave-spectrum", "--dxx", "1", "--r-value", "inf", "--samples", "16"],
+    ["wave-spectrum", "--dxx", "1", "--r-value", "nan", "--samples", "16"],
+])
+def test_wave_commands_reject_non_finite_r(capsys, tmp_path, argv):
+    out = tmp_path / "o"
+    code, stdout, err = run(capsys, *argv, "--dx-minus", "1", "0", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert "R must be finite" in err
+    assert not list(tmp_path.iterdir())
 
 
 # ------------------------------------------------------------ simulate
@@ -432,3 +423,156 @@ def test_custom_tableau_file_accepted(capsys, tmp_path):
     assert code == 0
     res = json.loads(out)
     assert res["mu_star"] == pytest.approx(1.0, rel=1e-2)
+
+
+# ------------------------------------------------------- output bytes
+
+# Every subcommand at a small size.  The sha256 of each stdout and each
+# written file except the manifests is pinned, so a refactor of the output
+# code cannot change a byte unnoticed; the manifests carry a run duration,
+# so only their keys and output lists are compared.  "{d}" is the output
+# directory and "{heun}" a tableau file outside it.  Each hash dict lists
+# "<stdout>" first, then the files in the manifest's output order.
+BYTE_PINS = [
+    (["coeffs", "dx", "3", "1"], None, {
+        "<stdout>": "951324254385c1fd888a7bd98c71d09786344d7d14c5db431f3f5e021c2dd3e3",
+    }),
+    (["coeffs", "dxx", "3", "--out", "{d}/c.csv"], "c.csv.manifest.json", {
+        "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "c.csv": "6539df5a72550591caf05084744005a171914650aa66c1cf9975cc8d7d377676",
+    }),
+    (["trajectory", "--samples", "8", "--out", "{d}/d_"], "d_manifest.json", {
+        "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d_dx3_1_dxx2_R0.1.csv":
+            "835165929bec102928772a7136af934aa46cbe21ce19c89485d12662794a27c0",
+        "d_dx3_1_dxx2_R1.0.csv":
+            "fbe7b07bc85536b33bebd95f74595885ab9da4ce5578f7af9e79983a4be77433",
+        "d_dx3_1_dxx2_R10.0.csv":
+            "35fd46e38c19d99e9051a3213eba3fb7142dbed0f8f0c44dcfa9bb98c0cc250b",
+        "d_dx21_20_dxx20_R0.1.csv":
+            "7157ab1459b088edc83814f14d290b14609487d5fd5bceb1e2dffc316c6a91a3",
+        "d_dx21_20_dxx20_R1.0.csv":
+            "085a2d41e2dcc3b3c6ee9acf9c740a07b42bbe2edd8f0fcdf28b29771c7ec4bd",
+        "d_dx21_20_dxx20_R10.0.csv":
+            "3af549fe5a75b5d95cd958e5a0cc6f7084d0c1dc5539ec0b3a8d92fec9157bfa",
+        "d_dx3_1_dxx20_R0.1.csv":
+            "ca5a6d8da0430fce0beceb5d794f2105e7f2c2e98af8e9f06a68eb74e0c00789",
+        "d_dx3_1_dxx20_R1.0.csv":
+            "b930da63cfc2dafcd31896a3f52e01df0b22a7e3253c0cec4ff18bb779f911c0",
+        "d_dx3_1_dxx20_R10.0.csv":
+            "9d755f25495bdd51a8902eb97ace7122e5c8cf375b279e92c940223a893c8b07",
+        "d_dx21_20_dxx2_R0.1.csv":
+            "c6054d8c393a334c88496e720b64bd161282ccb32e8640205f78ab1351911d65",
+        "d_dx21_20_dxx2_R1.0.csv":
+            "691152066ca90d3580d9a5aae45b4897e61241f965ea82d543c881cdb035f531",
+        "d_dx21_20_dxx2_R10.0.csv":
+            "1006ada8d715d6c9f59adb780bd0c4a78296e66eb691110b2a09a629b61e6577",
+    }),
+    (["trajectory", "--dx", "2", "2", "--dxx", "2", "--r-list", "0,0.37,inf",
+      "--samples", "16", "--out", "{d}/t_"], "t_manifest.json", {
+        "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "t_dx2_2_dxx2_R0.0.csv":
+            "feca8f53eacfa9d675a13693038ede3620afc6382e780c69ae1f2fcfd3043056",
+        "t_dx2_2_dxx2_R0.37.csv":
+            "3cb2a913b41ee914fec46040d53311bba81c118f0df3b08b9c0f6bfcf182ee16",
+        "t_dx2_2_dxx2_Rinf.csv":
+            "3ddea1427347f3201d8e088c6742626814ffea25644dc096454c06814927dfa3",
+    }),
+    (["tableau", "check", "{heun}"], None, {
+        "<stdout>": "fd934ea711b736913ac349139b205681234ed8712466358505f2a88350bb0afa",
+    }),
+    (["index-sweep", "--tableau", "fe", "--dx", "2", "0", "--mu", "0.03",
+      "--n", "32:128"], None, {
+        "<stdout>": "8ff208a3858de6ebf083d3d30cdf5e8bf89b2ea3fcf02b872c6536f454da52f8",
+    }),
+    (["index-sweep", "--tableau", "rk4", "--dx", "3", "1", "--dxx", "2", "--nu", "0.05",
+      "--mode", "fixed-mu-nu", "--mu-nu", "0.2", "--n", "16:64", "--out", "{d}/s.csv"],
+     "s.csv.manifest.json", {
+        "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "s.csv": "89e4c68d75c69b767bbde91237b624f2217d081b7be2ef63f274ed69a7344ec9",
+    }),
+    (["threshold", "--tableau", "rk4", "--dx", "1", "0", "--n", "64"], None, {
+        "<stdout>": "4208b9583755aa0fea0a4066ab1a89ad88904be46bec18fa0c27314e81f2cf9f",
+    }),
+    (["threshold", "--tableau", "{heun}", "--dx", "3", "1", "--dxx", "2", "--nu", "0.01",
+      "--n", "32", "--out", "{d}/thr.json"], "thr.json.manifest.json", {
+        "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "thr.json": "1502f0b22ddca588e733db39dbab48e64ec2bb999dbde7f8da635edc2a654878",
+    }),
+    (["wave-spectrum", "--dx-minus", "2", "1", "--dxx", "1", "--samples", "32"], None, {
+        "<stdout>": "be187e36a7c70657e2f569daa9c5926510d6288db6c62023d2fe995ba0be2343",
+    }),
+    (["wave-spectrum", "--dx-minus", "3", "1", "--dx-plus", "1", "2", "--dxx", "2",
+      "--r-value", "0", "--samples", "16", "--out", "{d}/w.csv"], "w.csv.manifest.json", {
+        "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "w.csv": "5e8c6a9cfc175bacb854d453f05116749db0022ca3ca3d092576e757403cb784",
+    }),
+    (["wave-classify", "--dx-minus", "1", "0", "--dxx", "1", "--nu", "10", "--n", "16"],
+     None, {
+        "<stdout>": "164ff5c631a63adec61a63db68a6cc60ad14d5ffc48cd9dbbc37698b66fe92ed",
+    }),
+    (["wave-classify", "--dx-minus", "3", "1", "--dxx", "2", "--nu", "0.1", "--n", "64",
+      "--out", "{d}/k.json"], "k.json.manifest.json", {
+        "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k.json": "73eb275f7a7040c20dfd2e9d37f8d687b736a6ec234265c9d4fec02611c42020",
+    }),
+    (["simulate", "--tableau", "rk4", "--dx", "3", "1", "--dxx", "1", "--nu", "0.01",
+      "--mu", "0.5", "--n", "32", "--t-final", "0.5", "--out", "{d}/a_"],
+     "a_manifest.json", {
+        "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "a_snap_000.csv": "5fee1bb2e810c3e0b44efac6d9c687a7b2f198b33a16031028a1bd3ac522e7bb",
+        "a_snap_001.csv": "a38ba8a006b4a80b304254f25dea3b3ea546917a4924485fe69025eccfc07116",
+        "a_snap_002.csv": "c9d3380303c785f4d5861bee9fd466f5c5adab46548240add1064b8090ed0c43",
+        "a_summary.json": "8270db86ab826c40854598e9a8fcb3ae68219ffb8857535c8b52d3f70677de97",
+    }),
+    (["simulate", "--system", "wave", "--tableau", "rk3", "--dx-minus", "2", "1",
+      "--dxx", "1", "--nu", "0.02", "--mu", "0.2", "--n", "24", "--t-final", "0.2",
+      "--snapshot-times", "0,0.05,0.2", "--out", "{d}/v_"], "v_manifest.json", {
+        "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "v_snap_000.csv": "418427288cb91a79ef6f2b9c70f318fbc9af2cecc14799e2ea9dba7243991498",
+        "v_snap_001.csv": "fa6d4828dab360dd5ecec4b6aa9f4226dc6f4223836bf9167872194d24a39713",
+        "v_snap_002.csv": "73086aaf5b3585b77ebed69acd6c1367d8110c26581b217c620eb95cdf088f70",
+        "v_summary.json": "a18a7daea52d1927dc9c8b0c9752279b8b47e17ca4359f5b0dd13410a3d0b486",
+    }),
+    (["simulate", "--tableau", "fe", "--dx", "1", "0", "--mu", "2", "--n", "32",
+      "--t-final", "50", "--out", "{d}/b_"], "b_manifest.json", {
+        "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b_summary.json": "4319db008f21dd855c05f3068f0c70cbf0ce8e0d5b4a5709d5f049ec88ba5ca9",
+    }),
+]
+
+MANIFEST_KEYS = {"command", "params", "version", "outputs", "duration_s"}
+
+
+def _pinned_run(capsys, tmp_path, argv):
+    """Run one CLI command; return (exit code, {name: sha256}, output dir).
+
+    "<stdout>" is the standard output; the other names are the written
+    files, manifests excluded."""
+    d = tmp_path / "out"
+    d.mkdir()
+    heun = tmp_path / "heun.json"
+    heun.write_text(json.dumps(HEUN))
+    argv = [a.replace("{d}", str(d)).replace("{heun}", str(heun)) for a in argv]
+    code, out, _ = run(capsys, *argv)
+    hashes = {"<stdout>": hashlib.sha256(out.encode()).hexdigest()}
+    for p in sorted(d.iterdir()):
+        if not p.name.endswith("manifest.json"):
+            hashes[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
+    return code, hashes, d
+
+
+@pytest.mark.parametrize("argv,manifest,want", BYTE_PINS,
+                         ids=[f"{i}-{a[0]}" for i, (a, _, _) in enumerate(BYTE_PINS)])
+def test_outputs_are_byte_pinned(capsys, tmp_path, argv, manifest, want):
+    code, got, d = _pinned_run(capsys, tmp_path, argv)
+    assert code == 0
+    assert got == want
+    names = sorted(p.name for p in d.iterdir())
+    if manifest is None:
+        assert names == []
+        return
+    assert manifest in names and len(names) == len(want)  # files + manifest - stdout
+    man = json.loads((d / manifest).read_text())
+    assert set(man) == MANIFEST_KEYS
+    assert man["outputs"] == [str(d / n) for n in want if n != "<stdout>"]

@@ -1,7 +1,6 @@
 """Fully discrete spectra, instability indices, and thresholds."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -137,17 +136,6 @@ def test_instability_curve_flat_index():
         instability_curve(
             build_dx(2, 0), None, FE, 0.03, [64, 32], SweepMode.FIXED_MU
         )
-
-
-def test_instability_curve_parallel_map_identical():
-    def pool_map(fn, items):
-        with ThreadPoolExecutor(max_workers=4) as ex:
-            return list(ex.map(fn, items))
-
-    args = (build_dx(3, 1), build_dxx(2), RK2, 0.3, [16, 32, 64], SweepMode.FIXED_MU)
-    seq = instability_curve(*args, nu=0.05)
-    par = instability_curve(*args, nu=0.05, map_fn=pool_map)
-    assert seq == par
 
 
 def test_stable_powers_stay_bounded():

@@ -259,6 +259,20 @@ def test_advance_lands_exactly_and_records():
     assert len(times) <= 2 + state.step_count // 5 + 1
 
 
+def test_advance_leaves_its_input_state_alone():
+    cfg = scalar_config((3, 1), 0, 0.0, 0.5, 32, t_final=1.0)
+    s0 = make_state((gaussian_pulse(32),))
+    history0 = list(s0.linf_history)
+    s1, _ = advance(s0, cfg, 0.5)
+    assert s0.t == 0.0 and s0.step_count == 0
+    assert s0.linf_history == history0
+    history1 = list(s1.linf_history)
+    s2, _ = advance(s1, cfg, 1.0)
+    assert s1.linf_history == history1 and history1[-1][0] == 0.5
+    assert s2.linf_history[: len(history1)] == history1
+    assert s2.linf_history[-1][0] == 1.0
+
+
 def test_advance_takes_no_sliver_step():
     # 100000 additions of dt leave state.t about 1e-10 short of t_final,
     # more than the 1e-12 t landing tolerance: the last step must absorb it
@@ -428,9 +442,15 @@ def test_blowup_detection():
     res = run_simulation(cfg, (gaussian_pulse(32),))
     assert res.blowup
     assert res.t_blowup is not None and res.t_blowup < 50.0
+    # the run ends on the last state within the limit, its history kept
+    last = res.final_state
+    assert 0 < last.t < res.t_blowup and last.last_linf <= 1e10
+    assert res.linf_history is last.linf_history
+    assert res.snapshots == [] and res.linf_history[-1][0] == last.t
     with pytest.raises(BlowUpError) as info:
         advance(make_state((gaussian_pulse(32),)), cfg, 50.0)
     assert info.value.limit == 1e10
+    assert info.value.state.t == last.t and info.value.time > last.t
     tight = scalar_config(
         (1, 0), 0, 0.0, 2.0, 32, tableau="fe", t_final=50.0, blowup_limit=100.0
     )

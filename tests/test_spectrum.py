@@ -76,15 +76,14 @@ def test_symbol_validation():
 
 def test_trajectory_sampling():
     sym = AdeSymbol(build_dx(2, 1), build_dxx(1), 0.5)
-    samples = sample_trajectory(sym, 128)
-    assert len(samples) == 128
-    s = samples[3]
-    lam = ade_symbol(sym, s.theta)
-    assert s.x == lam.real and s.y == lam.imag
+    th, lam = sample_trajectory(sym, 128)
+    assert len(th) == len(lam) == 128
+    want = ade_symbol(sym, float(th[3]))
+    assert lam[3].real == want.real and lam[3].imag == want.imag
     # R = inf traces the pure diffusion symbol, which is real
-    flat = sample_trajectory(AdeSymbol(build_dx(2, 1), build_dxx(1), math.inf), 64)
-    assert all(p.y == 0.0 for p in flat)
-    assert any(p.x < 0 for p in flat)
+    _, flat = sample_trajectory(AdeSymbol(build_dx(2, 1), build_dxx(1), math.inf), 64)
+    assert np.all(flat.imag == 0.0)
+    assert np.any(flat.real < 0)
 
 
 def test_closed_form_pinned_values():

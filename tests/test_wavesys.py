@@ -55,20 +55,20 @@ def test_symbols_pinned_at_pi():
 
 def test_eigenpair_pinned_at_pi():
     # decoupled at pi: s = 0, so the pair is (R b - d)/2 +- |R b|/2
-    pair = wave_eigs(W1, 1.0, math.pi)
-    assert_multiset_close([pair.lambda1, pair.lambda2], [-2.0, -6.0], tol=1e-13)
-    assert not pair.jordan
+    lam1, lam2, jordan = wave_eigs(W1, 1.0, math.pi)
+    assert_multiset_close([lam1, lam2], [-2.0, -6.0], tol=1e-13)
+    assert not jordan
 
 
 def test_jordan_point_on_the_matched_angle():
     # tan(theta/2) = 1/R collapses the discriminant; R = 1, theta = pi/2
-    pair = wave_eigs(W1, 1.0, math.pi / 2)
-    assert pair.jordan
-    assert abs(pair.lambda1 - (-2.0)) < 1e-7
-    assert abs(pair.lambda2 - (-2.0)) < 1e-7
+    lam1, lam2, jordan = wave_eigs(W1, 1.0, math.pi / 2)
+    assert jordan
+    assert abs(lam1 - (-2.0)) < 1e-7
+    assert abs(lam2 - (-2.0)) < 1e-7
     # the consistency point is a scalar zero block, never flagged
-    assert not wave_eigs(W1, 1.0, 0.0).jordan
-    assert wave_eigs(W1, 1.0, 0.0).lambda1 == 0.0
+    assert not wave_eigs(W1, 1.0, 0.0)[2]
+    assert wave_eigs(W1, 1.0, 0.0)[0] == 0.0
 
 
 def test_eigs_match_explicit_blocks():
@@ -78,9 +78,9 @@ def test_eigs_match_explicit_blocks():
         am, ap, b = wave_symbols(w, theta)
         d, s = am - ap, am + ap
         block = np.array([[r * b - d / 2, -s / 2], [-s / 2, -d / 2]])
-        pair = wave_eigs(w, r, float(theta))
+        lam1, lam2, _ = wave_eigs(w, r, float(theta))
         assert_multiset_close(
-            [pair.lambda1, pair.lambda2], np.linalg.eigvals(block), tol=1e-12
+            [lam1, lam2], np.linalg.eigvals(block), tol=1e-12
         )
 
 
@@ -95,21 +95,42 @@ def test_eigs_match_explicit_blocks():
 )
 def test_grid_pairs_match_dense_oracle(lm, lp, q, nu, n):
     w = make_wave(lm, lp, q)
-    pairs = grid_eigenpairs(w, nu * n, n)
-    lib = [p.lambda1 for p in pairs] + [p.lambda2 for p in pairs]
+    _, lam1, lam2, _ = grid_eigenpairs(w, nu * n, n)
+    lib = np.concatenate([lam1, lam2])
     dense = np.linalg.eigvals(dense_wave_matrix(w, n, nu)) / n
     assert_multiset_close(lib, dense, tol=1e-10)
 
 
 def test_grid_pairs_edges():
-    pairs = grid_eigenpairs(W1, 1.0, 2)
-    assert len(pairs) == 2
-    assert pairs[-1].theta == 0.0
-    assert pairs[-1].lambda1 == 0.0 and pairs[-1].lambda2 == 0.0
+    th, lam1, lam2, jordan = grid_eigenpairs(W1, 1.0, 2)
+    assert len(th) == len(lam1) == len(lam2) == len(jordan) == 2
+    assert th[-1] == 0.0
+    assert lam1[-1] == 0.0 and lam2[-1] == 0.0
     with pytest.raises(ValueError):
         grid_eigenpairs(W1, 1.0, 1)
     with pytest.raises(ValueError):
         wave_eigs(W1, -0.5, 1.0)
+
+
+@pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan, -0.5])
+def test_r_must_be_finite_and_non_negative(r):
+    calls = [
+        lambda: wave_eigs(W1, r, 1.0),
+        lambda: sample_wave_trajectory(W1, r, 16),
+        lambda: grid_eigenpairs(W1, r, 8),
+        lambda: wave_semistable_check(W1, r, 16),
+        lambda: wave_bound_check(W1, r, 16),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="R must be finite and non-negative"):
+            call()
+
+
+@pytest.mark.parametrize("nu", [math.inf, 1e308])
+def test_classify_rejects_overflowing_r(nu):
+    # R = nu * N is what the eigenvalues see; 1e308 * 16 overflows to inf
+    with pytest.raises(ValueError, match="R must be finite"):
+        classify_spectrum(W1, nu, 16)
 
 
 SEMISTABLE_CONFIGS = [
@@ -182,8 +203,8 @@ def test_spectrum_height_shrinks_with_damping():
     w = make_wave((3, 1), (1, 3), 2)
 
     def height(r):
-        pairs = sample_wave_trajectory(w, r, 512)
-        return max(max(abs(p.lambda1.imag), abs(p.lambda2.imag)) for p in pairs)
+        _, lam1, lam2, _ = sample_wave_trajectory(w, r, 512)
+        return max(np.abs(lam1.imag).max(), np.abs(lam2.imag).max())
 
     assert height(2.0) < 0.5 * height(0.1)
 
@@ -199,21 +220,21 @@ def test_stable_parts_can_sum_unstable():
 
 
 def test_trajectory_sampling_shape():
-    pairs = sample_wave_trajectory(W1, 0.5, 64)
-    assert len(pairs) == 64
-    assert pairs[0].theta == -math.pi
-    zero = [p for p in pairs if p.theta == 0.0]
-    assert len(zero) == 1 and zero[0].lambda1 == 0.0
+    th, lam1, lam2, jordan = sample_wave_trajectory(W1, 0.5, 64)
+    assert len(th) == len(lam1) == len(lam2) == len(jordan) == 64
+    assert th[0] == -math.pi
+    zero = th == 0.0
+    assert zero.sum() == 1 and lam1[zero][0] == 0.0
 
 
 def test_mirror_pair_agrees_with_sample_grid_symmetry():
     # symmetric pair: eigenvalue set at -theta is the conjugate of theta's
     w = make_wave((3, 1), (1, 3), 2)
     for theta in (0.4, 1.1, 2.9):
-        a = wave_eigs(w, 0.8, theta)
-        b = wave_eigs(w, 0.8, -theta)
+        a1, a2, _ = wave_eigs(w, 0.8, theta)
+        b1, b2, _ = wave_eigs(w, 0.8, -theta)
         assert_multiset_close(
-            [a.lambda1, a.lambda2],
-            [b.lambda1.conjugate(), b.lambda2.conjugate()],
+            [a1, a2],
+            [b1.conjugate(), b2.conjugate()],
             tol=1e-12,
         )
