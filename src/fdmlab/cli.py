@@ -139,11 +139,8 @@ def _resolve_tableau(spec_str: str) -> timeint.ButcherTableau:
     try:
         return timeint.get_tableau(spec_str)
     except KeyError:
-        try:
-            if Path(spec_str).exists():
-                return timeint.tableau_from_json(spec_str)
-        except OSError:
-            pass
+        if os.path.exists(spec_str):
+            return timeint.tableau_from_json(spec_str)
         raise
 
 
@@ -251,9 +248,7 @@ def cmd_wave_spectrum(args):
 
 def cmd_wave_classify(args):
     w = _wave_from_args(args)
-    cls = wavesys.classify_spectrum(w, args.nu, args.n)
-    _, lam1, lam2, _ = wavesys.grid_eigenpairs(w, args.nu * args.n, args.n)
-    max_im = float(np.maximum(np.abs(lam1.imag), np.abs(lam2.imag)).max())
+    cls, max_im = wavesys._classify(w, args.nu, args.n)
     yield args.out, json.dumps(
         {"nu": args.nu, "N": args.n, "class": cls.value, "max_abs_im": max_im},
         sort_keys=True,
@@ -262,9 +257,7 @@ def cmd_wave_classify(args):
 
 def cmd_simulate(args):
     tab = _resolve_tableau(args.tableau)
-    if args.mu <= 0:
-        raise ValueError("--mu must be positive")
-    grid = fulldisc.GridConfig(args.n, args.nu, dt=args.mu / args.n)
+    grid = fulldisc.grid_for(fulldisc.SweepMode.FIXED_MU, args.n, args.mu, args.nu)
     if args.snapshot_times:
         snaps = tuple(parse_float_list(args.snapshot_times))
     else:
@@ -329,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trajectory", help="symbol curve samples, one CSV per R")
     _add_dx_flags(p)
     p.add_argument("--r-list", default=DEFAULT_R_LIST)
-    p.add_argument("--samples", type=int, default=4096)
+    p.add_argument("--samples", type=int, default=spectrum.N_SAMPLES)
     p.add_argument("--out", default="trajectory_")
     p.set_defaults(func=cmd_trajectory)
 
@@ -362,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wave-spectrum", help="wave eigenvalue pairs over angles")
     _add_dx_flags(p, minus_plus=True)
     p.add_argument("--r-value", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=4096)
+    p.add_argument("--samples", type=int, default=spectrum.N_SAMPLES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_wave_spectrum)
 

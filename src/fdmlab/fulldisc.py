@@ -12,9 +12,9 @@ and re-evaluates only the polynomial p at each probe.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -38,7 +38,16 @@ __all__ = [
 ]
 
 TOL_STABLE = 1e-12
-_CHUNK = 1 << 16
+_SEED = 1e-8  # first step ratio the threshold search probes
+_REL_WIDTH = 1e-6  # the bisection stops at this relative bracket width
+_CAP = 1e9  # no crossing is looked for beyond this step ratio
+
+
+def _check_n_cells(n_cells) -> None:
+    if isinstance(n_cells, bool) or not isinstance(n_cells, Integral):
+        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
+    if n_cells < 4:
+        raise ValueError("need at least 4 cells")
 
 
 class SweepMode(Enum):
@@ -57,15 +66,7 @@ class GridConfig:
     dt: float
 
     def __post_init__(self) -> None:
-        try:
-            operator.index(self.n_cells)
-            is_int = not isinstance(self.n_cells, bool)
-        except TypeError:
-            is_int = False
-        if not is_int:
-            raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}")
-        if self.n_cells < 4:
-            raise ValueError("need at least 4 cells")
+        _check_n_cells(self.n_cells)
         if not (math.isfinite(self.nu) and self.nu >= 0):
             raise ValueError("viscosity must be finite and non-negative")
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -142,6 +143,7 @@ def _as_poly(method) -> StabilityPolynomial:
 
 def grid_for(mode: SweepMode, n_cells: int, control: float, nu: float) -> GridConfig:
     """Grid with dt chosen so the mode's control parameter equals ``control``."""
+    _check_n_cells(n_cells)  # before dt divides by it
     if control <= 0:
         raise ValueError("control parameter must be positive")
     if mode is SweepMode.FIXED_MU:
@@ -160,24 +162,18 @@ def semidiscrete_eigs(dx: FdOperator | None, dxx: FdOperator | None,
     """h-scaled semidiscrete eigenvalues lambda_R at s_k, k = 1..n.
 
     Either operator may be None (term absent); the k = n entry is exactly 0
-    by consistency.  Evaluation is chunked so million-cell grids stay cheap.
+    by consistency.  The symbols bound their own memory per block of angles.
     """
     r = grid.r
     if dx is None and (dxx is None or r == 0):
         raise ValueError("at least one active operator is required")
-    n = grid.n_cells
-    out = np.zeros(n, dtype=complex)
-    for start in range(0, n, _CHUNK):
-        k = np.arange(start + 1, min(start + _CHUNK, n) + 1)
-        th = 2.0 * math.pi * k / n
-        lam = np.zeros(len(k), dtype=complex)
-        if dx is not None:
-            lam += spectrum.advection_symbol(dx, th)
-        if dxx is not None and r != 0:
-            lam += r * spectrum.diffusion_symbol(dxx, th)
-        out[start : start + len(k)] = lam
-    out[-1] = 0.0
-    return out
+    th = spectrum.grid_angles(grid.n_cells)
+    lam = np.zeros(grid.n_cells, dtype=complex)
+    if dx is not None:
+        lam += spectrum.advection_symbol(dx, th)
+    if dxx is not None and r != 0:
+        lam += r * spectrum.diffusion_symbol(dxx, th)
+    return lam
 
 
 def full_spectrum(dx: FdOperator | None, dxx: FdOperator | None, grid: GridConfig,
@@ -215,42 +211,35 @@ def instability_curve(dx: FdOperator | None, dxx: FdOperator | None,
 
 def stable_mu_threshold(dx: FdOperator | None, dxx: FdOperator | None,
                         method, nu: float, n_cells: int,
-                        mode: SweepMode = SweepMode.FIXED_MU,
-                        rel_width: float = 1e-6, seed: float = 1e-8,
-                        cap: float = 1e9) -> ThresholdResult:
+                        mode: SweepMode = SweepMode.FIXED_MU) -> ThresholdResult:
     """Largest control value at the first stable-to-unstable crossing.
 
-    Seeds at ``seed``, doubles until instability, then bisects the bracket
-    to relative width ``rel_width``.  A scan past the crossing sets
-    ``stable_beyond`` when stability reappears at larger values.  The
-    lambda_k are computed once; each probe re-evaluates only p(mu * lambda).
+    Seeds at 1e-8, doubles until instability (giving up past 1e9), then
+    bisects the bracket to relative width 1e-6, reported as ``tol``.  A
+    scan past the crossing sets ``stable_beyond`` when stability reappears
+    at larger values.  The lambda_k are computed once; each probe
+    re-evaluates only p(mu * lambda).
     """
-    # Below machine epsilon the bracket can stop shrinking: mid rounds to lo.
-    if not (math.isfinite(rel_width) and rel_width >= np.finfo(float).eps):
-        raise ValueError("rel_width must be finite and at least machine epsilon")
-    if not (0 < seed < cap and math.isfinite(cap)):
-        raise ValueError("need 0 < seed < cap with cap finite")
     p = _as_poly(method)
-    lam = semidiscrete_eigs(dx, dxx, grid_for(mode, n_cells, seed, nu))
+    lam = semidiscrete_eigs(dx, dxx, grid_for(mode, n_cells, _SEED, nu))
     iterations = 0
 
     def stable(control: float) -> bool:
         mu = grid_for(mode, n_cells, control, nu).mu
         return float(np.max(np.abs(eval_p(p, mu * lam)))) - 1.0 <= TOL_STABLE
 
-    if not stable(seed):
+    if not stable(_SEED):
         raise ThresholdNotFoundError("unstable for all tested mu")
-    lo = seed
-    hi = seed
+    lo = hi = _SEED
     while True:
         hi *= 2.0
         iterations += 1
         if not stable(hi):
             break
         lo = hi
-        if hi > cap:
+        if hi > _CAP:
             raise ThresholdNotFoundError("no unstable step ratio found below cap")
-    while hi - lo > rel_width * lo:
+    while hi - lo > _REL_WIDTH * lo:
         mid = 0.5 * (lo + hi)
         iterations += 1
         if stable(mid):
@@ -258,4 +247,4 @@ def stable_mu_threshold(dx: FdOperator | None, dxx: FdOperator | None,
         else:
             hi = mid
     stable_beyond = any(stable(lo * 2.0**j) for j in range(1, 11))
-    return ThresholdResult(lo, iterations, rel_width, stable_beyond)
+    return ThresholdResult(lo, iterations, _REL_WIDTH, stable_beyond)

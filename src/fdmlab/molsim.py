@@ -189,7 +189,7 @@ def _gather_kernel(op: FdOperator, n: int):
     return apply
 
 
-def apply_operator(op: FdOperator, u: np.ndarray, n_cells: int | None = None) -> np.ndarray:
+def apply_operator(op: FdOperator, u: np.ndarray) -> np.ndarray:
     """Periodic stencil application scaled by 1/h^p, h = 1/len(u).
 
     p is the derivative order of the stencil (1 or 2); grid index
@@ -200,19 +200,16 @@ def apply_operator(op: FdOperator, u: np.ndarray, n_cells: int | None = None) ->
     u = np.asarray(u)
     if u.ndim != 1:
         raise ValueError(f"expected a 1-D grid vector, got shape {u.shape}")
-    n = len(u)
-    if n_cells is not None and n_cells != n:
-        raise ValueError("n_cells disagrees with vector length")
     u = u.astype(np.result_type(u.dtype, np.float64), copy=False)
-    return _gather_kernel(op, n)(u)
+    return _gather_kernel(op, len(u))(u)
 
 
-def make_state(fields, t: float = 0.0) -> SimState:
-    """Fresh state; seeds the L-inf history at the start time."""
+def make_state(fields) -> SimState:
+    """Fresh state at t = 0; seeds the L-inf history there."""
     fields = tuple(np.asarray(f, dtype=float).copy() for f in fields)
     linf = max(float(np.max(np.abs(f))) for f in fields)
-    return SimState(t=t, fields=fields, step_count=0,
-                    linf_history=[(t, linf)], last_linf=linf)
+    return SimState(t=0.0, fields=fields, step_count=0,
+                    linf_history=[(0.0, linf)], last_linf=linf)
 
 
 def _rhs_ade(fields, config: SimConfig):

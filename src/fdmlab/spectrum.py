@@ -36,12 +36,17 @@ __all__ = [
     "ade_symbol",
     "sample_trajectory",
     "sample_grid",
+    "grid_angles",
     "upwind_symbol_real_part",
     "vietoris_check",
     "asymptotic_exponent",
     "bound_constants",
     "check_global_bound",
 ]
+
+N_SAMPLES = 4096  # default angle count of the sampled checks and trajectories
+BOUND_SLACK = 1e-12  # roundoff allowance of the parabola-bound checks
+_CHUNK = 1 << 16  # angles per block of the symbol evaluators
 
 
 def _require_dx(op: FdOperator) -> None:
@@ -105,19 +110,39 @@ def sample_grid(n_samples: int) -> np.ndarray:
     return -math.pi + 2.0 * math.pi * j / n_samples
 
 
+def grid_angles(n_cells: int) -> np.ndarray:
+    """Grid angles theta_k = 2 pi k / n, k = 1..n, with the k = n angle
+    exactly 0 so every symbol vanishes there exactly."""
+    k = np.arange(1, n_cells + 1)
+    th = 2.0 * math.pi * k / n_cells
+    th[-1] = 0.0
+    return th
+
+
+def _evaluate(block, theta, dtype):
+    """Symbol values ``block(th)`` filled into one preallocated output,
+    _CHUNK angles at a time, so (angles x width) work arrays stay bounded;
+    exactly 0 at theta = 0, and a Python scalar for a scalar angle."""
+    th = np.asarray(theta, dtype=float)
+    flat = th.reshape(-1)
+    out = np.empty(flat.shape, dtype=dtype)
+    for start in range(0, flat.size, _CHUNK):
+        out[start : start + _CHUNK] = block(flat[start : start + _CHUNK])
+    out[flat == 0.0] = 0.0
+    return out[0].item() if th.ndim == 0 else out.reshape(th.shape)
+
+
 def advection_symbol(dx: FdOperator, theta):
     """lambda_0(theta) = -sum_k a_k e^{i k theta}, exactly 0 at theta = 0.
 
     Accepts a scalar or an array of angles.
     """
     _require_dx(dx)
-    th = np.asarray(theta, dtype=float)
-    phases = np.exp(1j * th[..., np.newaxis] * dx.offsets)
-    vals = -(phases @ dx.coeffs_float)
-    vals = np.where(th == 0.0, 0.0 + 0.0j, vals)
-    if np.ndim(theta) == 0:
-        return complex(vals)
-    return vals
+
+    def block(th):
+        return -(np.exp(1j * th[:, np.newaxis] * dx.offsets) @ dx.coeffs_float)
+
+    return _evaluate(block, theta, complex)
 
 
 def diffusion_symbol(dxx: FdOperator, theta):
@@ -128,14 +153,13 @@ def diffusion_symbol(dxx: FdOperator, theta):
     """
     _require_dxx(dxx)
     q = dxx.spec.left
-    th = np.asarray(theta, dtype=float)
     b = dxx.coeffs_float
     k = np.arange(1, q + 1)
-    vals = b[q] + 2.0 * (np.cos(th[..., np.newaxis] * k) @ b[q + 1 :])
-    vals = np.where(th == 0.0, 0.0, vals)
-    if np.ndim(theta) == 0:
-        return float(vals)
-    return vals
+
+    def block(th):
+        return b[q] + 2.0 * (np.cos(th[:, np.newaxis] * k) @ b[q + 1 :])
+
+    return _evaluate(block, theta, float)
 
 
 def ade_symbol(sym: AdeSymbol, theta):
@@ -148,7 +172,7 @@ def ade_symbol(sym: AdeSymbol, theta):
 
 
 def sample_trajectory(sym: AdeSymbol,
-                      n_samples: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+                      n_samples: int = N_SAMPLES) -> tuple[np.ndarray, np.ndarray]:
     """Sample the symbol curve on the uniform angle grid.
 
     Returns ``(theta, lam)``: the float angles of :func:`sample_grid` and
@@ -171,8 +195,9 @@ def upwind_symbol_real_part(dx: FdOperator, theta):
         l = r + 1:  -(2^{2l} l! r! / (2l)!) * sin^{2l}(theta/2)
         l = r + 2:  -(2^{2l} (2r+3) l! r! / (2l)!) * sin^{2l}(theta/2).
 
-    This form is strictly negative for theta != 0 and free of the
-    cancellation that makes the coefficient sum unusable near 0.
+    This form is strictly negative for theta != 0, exactly 0 at theta = 0,
+    and free of the cancellation that makes the coefficient sum unusable
+    near 0.
     """
     _require_dx(dx)
     if classify(dx.spec) is not StabilityClass.STABLE_UPWIND:
@@ -182,11 +207,7 @@ def upwind_symbol_real_part(dx: FdOperator, theta):
     if l == r + 2:
         num *= 2 * r + 3
     amp = float(Fraction(num, math.factorial(2 * l)))
-    th = np.asarray(theta, dtype=float)
-    vals = -amp * np.sin(th / 2.0) ** (2 * l)
-    if np.ndim(theta) == 0:
-        return float(vals)
-    return vals
+    return _evaluate(lambda th: -amp * np.sin(th / 2.0) ** (2 * l), theta, float)
 
 
 def vietoris_check(q: int) -> bool:
@@ -215,25 +236,14 @@ def vietoris_check(q: int) -> bool:
     return True
 
 
-def asymptotic_exponent(sym, window: tuple[float, float] = (1e-3, 1e-2),
-                        n_samples: int = 64) -> float:
+def asymptotic_exponent(dx: FdOperator) -> float:
     """Small-angle growth exponent of |Re lambda_0| against |Im lambda_0|.
 
-    Fits the least-squares slope of log|x_0| versus log|y_0| over
-    log-spaced angles in ``window``.  For an upwind operator of extent
-    (l, r) the slope approaches 2l.  Accepts the operator directly or an
-    R = 0 symbol wrapper.
+    Fits the least-squares slope of log|x_0| versus log|y_0| over 64
+    log-spaced angles in [1e-3, 1e-2].  For an upwind operator of extent
+    (l, r) the slope approaches 2l; other operators are rejected.
     """
-    if isinstance(sym, AdeSymbol):
-        if sym.r != 0:
-            raise ValueError("asymptotic exponent is an R = 0 quantity")
-        dx = sym.dx
-    else:
-        dx = sym
-    lo, hi = window
-    if not (0 < lo < hi):
-        raise ValueError("bad window")
-    th = np.geomspace(lo, hi, n_samples)
+    th = np.geomspace(1e-3, 1e-2, 64)
     x0 = upwind_symbol_real_part(dx, th)
     if np.any(x0 >= 0):
         raise ValueError("sampled real part is not negative")
@@ -242,8 +252,8 @@ def asymptotic_exponent(sym, window: tuple[float, float] = (1e-3, 1e-2),
     return float(slope)
 
 
-def bound_constants(dx: FdOperator, dxx: FdOperator, n_grid: int = 4096) -> BoundConstants:
-    """Empirical parabola constants on the uniform angle grid.
+def bound_constants(dx: FdOperator, dxx: FdOperator) -> BoundConstants:
+    """Empirical parabola constants on the N_SAMPLES-angle uniform grid.
 
     L1 = max y_0^2/theta^2 and L2 = min -lambda_inf/theta^2, both with the
     analytic limit value 1 substituted at theta = 0.  Requires an upwind
@@ -253,7 +263,7 @@ def bound_constants(dx: FdOperator, dxx: FdOperator, n_grid: int = 4096) -> Boun
     if classify(dx.spec) is not StabilityClass.STABLE_UPWIND:
         raise ValueError("bound constants require an upwind advection operator")
     _require_dxx(dxx)
-    th = sample_grid(n_grid)
+    th = sample_grid(N_SAMPLES)
     y0 = advection_symbol(dx, th).imag
     xinf = diffusion_symbol(dxx, th)
     nz = th != 0.0
@@ -268,11 +278,10 @@ def bound_constants(dx: FdOperator, dxx: FdOperator, n_grid: int = 4096) -> Boun
     return BoundConstants(L1, L2, L2 / L1)
 
 
-def check_global_bound(sym: AdeSymbol, constants: BoundConstants | None = None,
-                       n_grid: int = 4096, slack: float = 1e-12) -> bool:
-    """Verify x_R <= -R * L * y_R^2 + slack at every grid sample."""
-    if constants is None:
-        constants = bound_constants(sym.dx, sym.dxx, n_grid)
-    th = sample_grid(n_grid)
+def check_global_bound(sym: AdeSymbol) -> bool:
+    """Verify x_R <= -R * L * y_R^2 + BOUND_SLACK at every sample of the
+    N_SAMPLES-angle uniform grid, with L from :func:`bound_constants`."""
+    L = bound_constants(sym.dx, sym.dxx).L
+    th = sample_grid(N_SAMPLES)
     lam = ade_symbol(sym, th)
-    return bool(np.all(lam.real <= -sym.r * constants.L * lam.imag**2 + slack))
+    return bool(np.all(lam.real <= -sym.r * L * lam.imag**2 + BOUND_SLACK))

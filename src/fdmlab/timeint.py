@@ -16,7 +16,7 @@ storage third-order scheme gives 1 + z + z^2/2 + z^3/6 + z^4/12.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -41,16 +41,14 @@ _CHECK_TOL = 1e-14
 
 
 def _to_fraction(x) -> Fraction:
-    """Exact conversion: ints, Fractions, binary floats, or 'p/q' strings."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
+    """Exact conversion: ints, Fractions, finite binary floats, or 'p/q'
+    strings; anything else raises ValueError naming the entry."""
+    try:
+        if isinstance(x, (Fraction, int, float, str)):
+            return Fraction(x)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"tableau entry {x!r} is not a finite number or 'p/q' string")
 
 
 @dataclass(frozen=True)
@@ -126,12 +124,6 @@ class ButcherTableau:
         arr.setflags(write=False)
         return arr
 
-    @cached_property
-    def c_float(self) -> np.ndarray:
-        arr = np.array([float(x) for x in self.c])
-        arr.setflags(write=False)
-        return arr
-
 
 @dataclass(frozen=True)
 class StabilityPolynomial:
@@ -197,30 +189,28 @@ def eval_p(p: StabilityPolynomial, z):
     return acc
 
 
-def in_stability_region(p: StabilityPolynomial, z, slack: float = REGION_SLACK):
-    """|p(z)| <= 1 + slack; the slack absorbs boundary roundoff."""
+def in_stability_region(p: StabilityPolynomial, z):
+    """|p(z)| <= 1 + REGION_SLACK; the slack absorbs boundary roundoff."""
     mod = np.abs(eval_p(p, z))
     if np.ndim(z) == 0:
-        return bool(mod <= 1.0 + slack)
-    return mod <= 1.0 + slack
+        return bool(mod <= 1.0 + REGION_SLACK)
+    return mod <= 1.0 + REGION_SLACK
 
 
 _BUILTIN_ROWS = {
-    # name: (a_rows, b, c, order)
-    "fe": ([[]], [1], None, 1),
-    "rk2": ([[], ["1/2"]], [0, 1], None, 2),
-    "ssprk2": ([[], [1]], ["1/2", "1/2"], None, 2),
-    "rk3": ([[], [1], ["1/4", "1/4"]], ["1/6", "1/6", "2/3"], None, 3),
+    # name: (a_rows, b, order); every c is the stage row sums
+    "fe": ([[]], [1], 1),
+    "rk2": ([[], ["1/2"]], [0, 1], 2),
+    "ssprk2": ([[], [1]], ["1/2", "1/2"], 2),
+    "rk3": ([[], [1], ["1/4", "1/4"]], ["1/6", "1/6", "2/3"], 3),
     "lsrk3": (
         [[], ["1/2"], [0, 1], [0, 0, 1]],
         ["1/6", "2/3", 0, "1/6"],
-        None,
         3,
     ),
     "rk4": (
         [[], ["1/2"], [0, "1/2"], [0, 0, 1]],
         ["1/6", "1/3", "1/3", "1/6"],
-        None,
         4,
     ),
 }
@@ -236,8 +226,8 @@ def builtin_tableaux() -> dict[str, ButcherTableau]:
     method.
     """
     return {
-        name: ButcherTableau.from_rows(a, b, c, name=name, order=order)
-        for name, (a, b, c, order) in _BUILTIN_ROWS.items()
+        name: ButcherTableau.from_rows(a, b, name=name, order=order)
+        for name, (a, b, order) in _BUILTIN_ROWS.items()
     }
 
 
@@ -248,35 +238,26 @@ def get_tableau(name: str) -> ButcherTableau:
     return table[name]
 
 
-def tableau_from_json(source) -> ButcherTableau:
-    """Load a tableau from a JSON file path, JSON text, or a parsed dict.
+def tableau_from_json(path) -> ButcherTableau:
+    """Load a tableau from a JSON file.
 
     Expected keys: "a" (ragged or square rows), "b", optional "c",
     "name", "order", "stages".  Entries may be numbers or "p/q" strings.
+    An unreadable file raises OSError, malformed content ValueError.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            is_file = Path(source).exists()
-        except OSError:
-            is_file = False
-        if is_file:
-            data = json.loads(Path(source).read_text(encoding="utf-8"))
-        else:
-            data = json.loads(str(source))
-    else:
-        data = source
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("tableau JSON must be an object")
-    try:
-        a = data["a"]
-        b = data["b"]
-    except KeyError as exc:
-        raise ValueError(f"tableau JSON missing key {exc}") from exc
+    a, b, c = data.get("a"), data.get("b"), data.get("c")
+    if not (isinstance(a, list) and all(isinstance(row, list) for row in a)):
+        raise ValueError(f'tableau "a" must be a list of rows, got {a!r}')
+    if not (isinstance(b, list) and isinstance(c, (list, type(None)))):
+        raise ValueError(f'tableau "b" and optional "c" must be lists, got b={b!r}, c={c!r}')
     stages = data.get("stages", len(b))
     if stages != len(b):
         raise ValueError("stages field disagrees with weight count")
     return ButcherTableau.from_rows(
-        a, b, data.get("c"), name=data.get("name", ""), order=data.get("order")
+        a, b, c, name=data.get("name", ""), order=data.get("order")
     )
 
 

@@ -30,9 +30,12 @@ from functools import cached_property
 import numpy as np
 
 from .spectrum import (
+    BOUND_SLACK,
+    N_SAMPLES,
     advection_symbol,
     bound_constants,
     diffusion_symbol,
+    grid_angles,
     sample_grid,
     upwind_symbol_real_part,
 )
@@ -134,7 +137,7 @@ def wave_eigs(w: WaveDiscretization, r: float,
     return complex(lam1[0]), complex(lam2[0]), bool(jordan[0])
 
 
-def sample_wave_trajectory(w: WaveDiscretization, r: float, n_samples: int = 4096):
+def sample_wave_trajectory(w: WaveDiscretization, r: float, n_samples: int = N_SAMPLES):
     """Eigenvalue pairs over the uniform angle grid.
 
     Returns arrays ``(theta, lam1, lam2, jordan)``: float angles, the two
@@ -153,9 +156,7 @@ def grid_eigenpairs(w: WaveDiscretization, r: float, n_cells: int):
     """
     if n_cells < 2:
         raise ValueError("need at least 2 cells")
-    k = np.arange(1, n_cells + 1)
-    th = 2.0 * math.pi * k / n_cells
-    th[-1] = 0.0
+    th = grid_angles(n_cells)
     return (th, *_eig_arrays(w, r, th))
 
 
@@ -166,10 +167,9 @@ def _one_sided_real_parts(w: WaveDiscretization, th: np.ndarray):
     return e1, f1
 
 
-def wave_semistable_check(w: WaveDiscretization, r: float,
-                          n_samples: int = 4096) -> bool:
-    """Semistability of the sampled wave spectrum at reciprocal cell
-    Reynolds number ``r``.
+def wave_semistable_check(w: WaveDiscretization, r: float) -> bool:
+    """Semistability of the wave spectrum at reciprocal cell Reynolds
+    number ``r``, sampled on the N_SAMPLES-angle uniform grid.
 
     Checks that the consistency pair at theta = 0 is exactly zero, that
     both eigenvalues satisfy Re < 0 at every other sampled angle, and
@@ -184,7 +184,7 @@ def wave_semistable_check(w: WaveDiscretization, r: float,
     right-hand sides are sums and products of terms with certain signs, so
     the checks stay meaningful where the raw expressions would cancel.
     """
-    th = sample_grid(n_samples)
+    th = sample_grid(N_SAMPLES)
     zero = th == 0.0
     lam1, lam2, _ = _eig_arrays(w, r, th)
     if not (np.all(lam1[zero] == 0) and np.all(lam2[zero] == 0)):
@@ -213,38 +213,44 @@ def wave_semistable_check(w: WaveDiscretization, r: float,
     return True
 
 
+def _classify(w: WaveDiscretization, nu: float, n_cells: int):
+    """(class, largest |Im lambda|) of the grid spectrum, both from one
+    evaluation of the eigenvalue pairs; see :func:`classify_spectrum`."""
+    if not w.symmetric:
+        raise ValueError("spectrum classification applies to symmetric pairs")
+    if not (nu >= 0):
+        raise ValueError("viscosity must be non-negative")
+    _, lam1, lam2, _ = grid_eigenpairs(w, nu * n_cells, n_cells)
+    lam = np.concatenate((lam1, lam2))
+    im = np.abs(lam.imag)
+    real = not np.any(im > 1e-10 * (1.0 + np.abs(lam)))
+    return SpectrumClass.ALL_REAL if real else SpectrumClass.HAS_COMPLEX, float(im.max())
+
+
 def classify_spectrum(w: WaveDiscretization, nu: float, n_cells: int) -> SpectrumClass:
     """AllReal when every grid eigenvalue has |Im| <= 1e-10 (1 + |lambda|).
 
     Only meaningful for symmetric pairs, where large nu collapses the
     spectrum onto the real axis.
     """
-    if not w.symmetric:
-        raise ValueError("spectrum classification applies to symmetric pairs")
-    if not (nu >= 0):
-        raise ValueError("viscosity must be non-negative")
-    _, lam1, lam2, _ = grid_eigenpairs(w, nu * n_cells, n_cells)
-    for lam in (lam1, lam2):
-        if np.any(np.abs(lam.imag) > 1e-10 * (1.0 + np.abs(lam))):
-            return SpectrumClass.HAS_COMPLEX
-    return SpectrumClass.ALL_REAL
+    return _classify(w, nu, n_cells)[0]
 
 
-def wave_bound_check(w: WaveDiscretization, r: float, n_samples: int = 4096,
-                     slack: float = 1e-12) -> tuple[float, bool]:
-    """Parabola bound for symmetric pairs: x <= -R * L * y^2 + slack.
+def wave_bound_check(w: WaveDiscretization, r: float) -> tuple[float, bool]:
+    """Parabola bound for symmetric pairs: x <= -R * L * y^2 + BOUND_SLACK.
 
     L is half the advection-diffusion bound constant of (dx_minus, dxx);
-    returns (L, ok) over the sampled eigenvalue pairs.
+    returns (L, ok) over the eigenvalue pairs sampled on the N_SAMPLES-angle
+    uniform grid.
     """
     if not w.symmetric:
         raise ValueError("bound check applies to symmetric pairs")
-    bc = bound_constants(w.dx_minus, w.dxx, n_grid=max(n_samples, 4096))
+    bc = bound_constants(w.dx_minus, w.dxx)
     L = bc.L2 / (2.0 * bc.L1)
-    th = sample_grid(n_samples)
+    th = sample_grid(N_SAMPLES)
     lam1, lam2, _ = _eig_arrays(w, r, th)
     ok = bool(
-        np.all(lam1.real <= -r * L * lam1.imag**2 + slack)
-        and np.all(lam2.real <= -r * L * lam2.imag**2 + slack)
+        np.all(lam1.real <= -r * L * lam1.imag**2 + BOUND_SLACK)
+        and np.all(lam2.real <= -r * L * lam2.imag**2 + BOUND_SLACK)
     )
     return L, ok

@@ -8,7 +8,7 @@ import stat
 
 import pytest
 
-from fdmlab import cli
+from fdmlab import cli, wavesys
 
 
 def run(capsys, *argv):
@@ -176,8 +176,22 @@ def test_tableau_check_malformed(capsys, tmp_path):
 
 
 def test_tableau_check_missing_file(capsys, tmp_path):
-    code, _, _ = run(capsys, "tableau", "check", str(tmp_path / "no.json"))
+    missing = str(tmp_path / "no.json")
+    code, _, err = run(capsys, "tableau", "check", missing)
     assert code == 2
+    assert "No such file" in err and missing in err
+
+
+@pytest.mark.parametrize("content,entry", [
+    ({"a": [[], [[1]]], "b": [0.5, 0.5]}, "[1]"),
+    ({"a": [[]], "b": 1}, '"b"'),
+])
+def test_tableau_check_bad_entry_is_a_usage_error(capsys, tmp_path, content, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    code, _, err = run(capsys, "tableau", "check", str(path))
+    assert code == 2
+    assert err.startswith("error:") and entry in err
 
 
 # --------------------------------------------------------- index-sweep
@@ -287,6 +301,23 @@ def test_wave_classify(capsys):
     res = json.loads(out)
     assert res["class"] == "HasComplex"
     assert res["max_abs_im"] > 1e-6
+
+
+def test_wave_classify_evaluates_the_spectrum_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eig_arrays(*args)
+
+    eig_arrays = wavesys._eig_arrays
+    monkeypatch.setattr(wavesys, "_eig_arrays", counting)
+    for nu in ("10", "0.1"):
+        calls.clear()
+        code, _, _ = run(capsys, "wave-classify", "--dx-minus", "1", "0",
+                         "--dxx", "1", "--nu", nu, "--n", "256")
+        assert code == 0
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -401,6 +432,18 @@ def test_simulate_rerun_is_byte_identical(capsys, tmp_path):
 
 
 # ------------------------------------------------------------- general
+
+
+@pytest.mark.parametrize("argv", [
+    ["index-sweep", "--tableau", "fe", "--dx", "1", "0", "--mu", "0.5"],
+    ["threshold", "--tableau", "fe", "--dx", "1", "0"],
+    ["simulate", "--tableau", "fe", "--dx", "1", "0", "--mu", "0.5", "--t-final", "1"],
+])
+def test_zero_cells_is_a_usage_error(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, "--n", "0", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "need at least 4 cells" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version_flag(capsys):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 from fractions import Fraction as F
 
 import numpy as np
@@ -118,28 +120,54 @@ RK4_JSON = {
 }
 
 
+def _json_file(tmp_path, content) -> str:
+    path = tmp_path / "tableau.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
 def test_tableau_from_json_forms(tmp_path):
     want = get_tableau("rk4")
-    from_dict = tableau_from_json(RK4_JSON)
-    assert from_dict.a == want.a and from_dict.b == want.b and from_dict.c == want.c
-    text = json.dumps(RK4_JSON)
-    assert tableau_from_json(text).b == want.b
-    path = tmp_path / "rk4.json"
-    path.write_text(text)
-    loaded = tableau_from_json(path)
-    assert loaded.name == "classical"
-    assert stability_polynomial(loaded).coeffs == stability_polynomial(want).coeffs
+    path = _json_file(tmp_path, RK4_JSON)
+    for source in (path, Path(path)):
+        loaded = tableau_from_json(source)
+        assert loaded.a == want.a and loaded.b == want.b and loaded.c == want.c
+        assert loaded.name == "classical"
+        assert stability_polynomial(loaded).coeffs == stability_polynomial(want).coeffs
 
 
-def test_tableau_from_json_rejects_bad_input():
+def test_tableau_from_json_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError):
-        tableau_from_json({"b": [1]})
+        tableau_from_json(_json_file(tmp_path, {"b": [1]}))
     with pytest.raises(ValueError):
-        tableau_from_json(json.dumps([1, 2, 3]))
+        tableau_from_json(_json_file(tmp_path, [1, 2, 3]))
     with pytest.raises(ValueError):
-        tableau_from_json({"a": [[], [1]], "b": [0.5, 0.5], "stages": 3})
+        tableau_from_json(_json_file(tmp_path, {"a": [[], [1]], "b": [0.5, 0.5], "stages": 3}))
     with pytest.raises(json.JSONDecodeError):
-        tableau_from_json("not json {")
+        tableau_from_json(_json_file(tmp_path, "not json {"))
+
+
+def test_tableau_from_json_takes_a_path_not_json_text(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        tableau_from_json('{"a": [[]], "b": [1]}')
+
+
+@pytest.mark.parametrize(
+    "content,entry",
+    [
+        ({"a": [[], [[1]]], "b": [0.5, 0.5]}, "[1]"),
+        ({"a": [[]], "b": 1}, '"b"'),
+        ({"a": 5, "b": [1]}, '"a"'),
+        ({"a": [[]], "b": [1], "c": "0"}, '"c"'),
+        ({"a": [[]], "b": [None]}, "None"),
+        ({"a": [[]], "b": ["1/0"]}, "1/0"),
+        ('{"a": [[]], "b": [Infinity]}', "inf"),
+    ],
+)
+def test_tableau_from_json_names_the_bad_entry(tmp_path, content, entry):
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        tableau_from_json(_json_file(tmp_path, content))
 
 
 def test_wedge_certification():

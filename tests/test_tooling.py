@@ -1,12 +1,14 @@
-"""The names other tooling relies on exist on the package."""
+"""The names other tooling and the README rely on exist on the package."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import fdmlab
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def test_traced_functions_resolve():
@@ -28,3 +30,12 @@ def test_exported_names_resolve():
         mod = importlib.import_module(f"fdmlab.{mod_name}")
         for name in mod.__all__:
             assert hasattr(mod, name), f"fdmlab.{mod_name}.{name}"
+
+
+def test_readme_library_tour_runs():
+    # the tour calls the public API with real signatures; running it
+    # catches a renamed or dropped parameter that the prose still shows
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -118,8 +118,8 @@ def test_r_must_be_finite_and_non_negative(r):
         lambda: wave_eigs(W1, r, 1.0),
         lambda: sample_wave_trajectory(W1, r, 16),
         lambda: grid_eigenpairs(W1, r, 8),
-        lambda: wave_semistable_check(W1, r, 16),
-        lambda: wave_bound_check(W1, r, 16),
+        lambda: wave_semistable_check(W1, r),
+        lambda: wave_bound_check(W1, r),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="R must be finite and non-negative"):
@@ -144,7 +144,7 @@ SEMISTABLE_CONFIGS = [
 @pytest.mark.parametrize("lm,lp,q", SEMISTABLE_CONFIGS)
 @pytest.mark.parametrize("r", [0.0, 0.1, 2.0])
 def test_semistability(lm, lp, q, r):
-    assert wave_semistable_check(make_wave(lm, lp, q), r, n_samples=1024)
+    assert wave_semistable_check(make_wave(lm, lp, q), r)
 
 
 def test_semistable_sign_quantities_by_hand():
