@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
 
 import numpy as np
 
@@ -43,13 +42,6 @@ _REL_WIDTH = 1e-6  # the bisection stops at this relative bracket width
 _CAP = 1e9  # no crossing is looked for beyond this step ratio
 
 
-def _check_n_cells(n_cells) -> None:
-    if isinstance(n_cells, bool) or not isinstance(n_cells, Integral):
-        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
-    if n_cells < 4:
-        raise ValueError("need at least 4 cells")
-
-
 class SweepMode(Enum):
     """Refinement path: fix mu = dt/h or fix mu_nu = nu dt/h^2."""
 
@@ -66,7 +58,7 @@ class GridConfig:
     dt: float
 
     def __post_init__(self) -> None:
-        _check_n_cells(self.n_cells)
+        spectrum._check_n_cells(self.n_cells, 4)
         if not (math.isfinite(self.nu) and self.nu >= 0):
             raise ValueError("viscosity must be finite and non-negative")
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -143,7 +135,7 @@ def _as_poly(method) -> StabilityPolynomial:
 
 def grid_for(mode: SweepMode, n_cells: int, control: float, nu: float) -> GridConfig:
     """Grid with dt chosen so the mode's control parameter equals ``control``."""
-    _check_n_cells(n_cells)  # before dt divides by it
+    spectrum._check_n_cells(n_cells, 4)  # before dt divides by it
     if control <= 0:
         raise ValueError("control parameter must be positive")
     if mode is SweepMode.FIXED_MU:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -108,6 +109,14 @@ def sample_grid(n_samples: int) -> np.ndarray:
         raise ValueError("need at least 8 samples")
     j = np.arange(n_samples)
     return -math.pi + 2.0 * math.pi * j / n_samples
+
+
+def _check_n_cells(n_cells, least: int) -> None:
+    """The cell-count rule of every periodic grid: an integer >= least."""
+    if isinstance(n_cells, bool) or not isinstance(n_cells, Integral):
+        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
+    if n_cells < least:
+        raise ValueError(f"need at least {least} cells")
 
 
 def grid_angles(n_cells: int) -> np.ndarray:

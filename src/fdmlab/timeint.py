@@ -1,13 +1,13 @@
 """Explicit Runge-Kutta tableaux and their stability polynomials.
 
 An s-stage explicit method applied to w' = lam w advances the solution by
-p(z) with z = dt*lam, where p is built from the stage recursion
+p(z) with z = dt*lam, where
 
-    pi_1 = 1,   pi_i = 1 + z sum_{j<i} a_ij pi_j,
-    p(z) = 1 + z sum_j b_j pi_j.
+    p(z) = 1 + z b . (I - z A)^(-1) 1 = 1 + sum_{k=1..s} (b . A^(k-1) 1) z^k.
 
+A is strictly lower triangular, so A^s = 0 and the sum ends at k = s.
 Tableau entries are stored as exact rationals (floats convert exactly, so
-JSON input loses nothing) and the recursion runs in exact arithmetic; the
+JSON input loses nothing) and the sums b . A^(k-1) 1 are exact; the
 polynomial coefficients are rounded to double once at the end.  That keeps
 the classical methods' coefficients bit-exact, e.g. the four-stage low
 storage third-order scheme gives 1 + z + z^2/2 + z^3/6 + z^4/12.
@@ -32,8 +32,6 @@ __all__ = [
     "builtin_tableaux",
     "get_tableau",
     "tableau_from_json",
-    "certify_left_half_disk",
-    "certified_left_disk_radius",
 ]
 
 REGION_SLACK = 1e-14
@@ -98,6 +96,8 @@ class ButcherTableau:
         ``c`` defaults to the stage row sums.
         """
         s = len(b)
+        if len(a_rows) > s:
+            raise ValueError(f"{len(a_rows)} stage rows for {s} weights")
         full = []
         for i in range(s):
             row = [_to_fraction(x) for x in (a_rows[i] if i < len(a_rows) else [])]
@@ -144,39 +144,16 @@ class StabilityPolynomial:
         return len(self.coeffs) - 1
 
 
-def _poly_add(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, v in enumerate(p):
-        out[i] += v
-    for i, v in enumerate(q):
-        out[i] += v
-    return out
-
-
-def _poly_zscale(p: list[Fraction], s: Fraction) -> list[Fraction]:
-    """s * z * p(z)."""
-    return [Fraction(0)] + [s * v for v in p]
-
-
 def stability_polynomial(tab: ButcherTableau) -> StabilityPolynomial:
-    """Stability polynomial from the stage recursion, computed exactly."""
-    stage: list[list[Fraction]] = []
-    for i in range(tab.stages):
-        p = [Fraction(1)]
-        for j in range(i):
-            if tab.a[i][j]:
-                p = _poly_add(p, _poly_zscale(stage[j], tab.a[i][j]))
-        stage.append(p)
-    total = [Fraction(1)]
-    for j in range(tab.stages):
-        if tab.b[j]:
-            total = _poly_add(total, _poly_zscale(stage[j], tab.b[j]))
-    while len(total) > 1 and total[-1] == 0:
-        total.pop()
-    if len(total) - 1 > tab.stages:  # pragma: no cover - structural guarantee
-        raise AssertionError("stability polynomial degree exceeds stage count")
-    return StabilityPolynomial(tuple(float(c) for c in total))
+    """Stability polynomial from the exact sums b . A^(k-1) 1."""
+    coeffs = [Fraction(1)]
+    v = [Fraction(1)] * tab.stages  # A^(k-1) 1
+    for _ in range(tab.stages):
+        coeffs.append(sum(bj * vj for bj, vj in zip(tab.b, v) if bj))
+        v = [sum(aij * vj for aij, vj in zip(row, v) if aij) for row in tab.a]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return StabilityPolynomial(tuple(float(c) for c in coeffs))
 
 
 def eval_p(p: StabilityPolynomial, z):
@@ -260,35 +237,3 @@ def tableau_from_json(path) -> ButcherTableau:
         a, b, c, name=data.get("name", ""), order=data.get("order")
     )
 
-
-def certify_left_half_disk(p: StabilityPolynomial, radius: float,
-                           wedge: float = 1e-6, n_x: int = 96, n_y: int = 193) -> bool:
-    """Dense-grid check that the set {|z| < radius, Re z < -wedge * Im^2}
-    lies inside the stability region."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    xs = -radius * (np.arange(1, n_x + 1) / n_x)
-    ys = radius * np.linspace(-1.0, 1.0, n_y)
-    zx, zy = np.meshgrid(xs, ys, indexing="ij")
-    z = zx + 1j * zy
-    mask = (np.abs(z) < radius) & (zx < -wedge * zy**2)
-    if not mask.any():  # pragma: no cover - only for absurdly small radii
-        return True
-    return bool(np.all(in_stability_region(p, z[mask])))
-
-
-def certified_left_disk_radius(p: StabilityPolynomial,
-                               candidates=(0.0125, 0.025, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6),
-                               wedge: float = 1e-6) -> float:
-    """Largest candidate radius whose wedge-trimmed half-disk certifies.
-
-    Returns 0.0 when even the smallest candidate fails (first-order-damping
-    methods reject the wedge arbitrarily close to the origin).
-    """
-    best = 0.0
-    for radius in candidates:
-        if certify_left_half_disk(p, radius, wedge=wedge):
-            best = radius
-        else:
-            break
-    return best

@@ -32,6 +32,7 @@ import numpy as np
 from .spectrum import (
     BOUND_SLACK,
     N_SAMPLES,
+    _check_n_cells,
     advection_symbol,
     bound_constants,
     diffusion_symbol,
@@ -154,8 +155,7 @@ def grid_eigenpairs(w: WaveDiscretization, r: float, n_cells: int):
     :func:`sample_wave_trajectory` does.  The k = n angle is mapped to 0
     so the consistency pair is exact.
     """
-    if n_cells < 2:
-        raise ValueError("need at least 2 cells")
+    _check_n_cells(n_cells, 2)
     th = grid_angles(n_cells)
     return (th, *_eig_arrays(w, r, th))
 

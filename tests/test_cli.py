@@ -185,6 +185,7 @@ def test_tableau_check_missing_file(capsys, tmp_path):
 @pytest.mark.parametrize("content,entry", [
     ({"a": [[], [[1]]], "b": [0.5, 0.5]}, "[1]"),
     ({"a": [[]], "b": 1}, '"b"'),
+    ({"a": [[], [1], [5, 5]], "b": [1]}, "3 stage rows for 1 weights"),
 ])
 def test_tableau_check_bad_entry_is_a_usage_error(capsys, tmp_path, content, entry):
     path = tmp_path / "bad.json"

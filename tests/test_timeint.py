@@ -1,4 +1,4 @@
-"""Tableaux, stability polynomials, and region certification."""
+"""Tableaux, stability polynomials, and region membership."""
 
 import json
 import math
@@ -13,8 +13,6 @@ from fdmlab import (
     ButcherTableau,
     StabilityPolynomial,
     builtin_tableaux,
-    certified_left_disk_radius,
-    certify_left_half_disk,
     eval_p,
     get_tableau,
     in_stability_region,
@@ -70,6 +68,8 @@ def test_from_rows_validation():
         ButcherTableau.from_rows([[], [1]], [0.5, 0.5], c=[0.5, 1])  # c[0] != 0
     with pytest.raises(ValueError):
         ButcherTableau.from_rows([[], [1]], [0.5, 0.5], c=[0, 0.25])  # c != row sums
+    with pytest.raises(ValueError, match="3 stage rows for 1 weights"):
+        ButcherTableau.from_rows([[], [1], [5, 5]], [1])  # not forward Euler
 
 
 def test_get_tableau_unknown_name():
@@ -168,27 +168,3 @@ def test_tableau_from_json_takes_a_path_not_json_text(tmp_path, monkeypatch):
 def test_tableau_from_json_names_the_bad_entry(tmp_path, content, entry):
     with pytest.raises(ValueError, match=re.escape(entry)):
         tableau_from_json(_json_file(tmp_path, content))
-
-
-def test_wedge_certification():
-    polys = {n: stability_polynomial(t) for n, t in builtin_tableaux().items()}
-    assert certify_left_half_disk(polys["rk3"], 0.1)
-    assert certify_left_half_disk(polys["rk4"], 0.8)
-    assert not certify_left_half_disk(polys["fe"], 0.1)
-    assert not certify_left_half_disk(polys["rk2"], 0.8)
-    with pytest.raises(ValueError):
-        certify_left_half_disk(polys["fe"], -1.0)
-
-
-def test_certified_radius_ladder():
-    radii = {
-        n: certified_left_disk_radius(stability_polynomial(t))
-        for n, t in builtin_tableaux().items()
-    }
-    # first-order damping rejects the wedge almost immediately; the higher
-    # order methods hold progressively larger half-disks
-    assert radii["fe"] <= 0.0125
-    assert radii["rk2"] == radii["ssprk2"] == 0.4
-    assert radii["lsrk3"] == 0.4
-    assert radii["rk3"] == 1.6
-    assert radii["rk4"] == 1.6

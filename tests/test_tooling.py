@@ -9,6 +9,7 @@ import fdmlab
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
+MODULES = ("stencil", "spectrum", "timeint", "fulldisc", "wavesys", "molsim")
 
 
 def test_traced_functions_resolve():
@@ -26,10 +27,19 @@ def test_traced_functions_resolve():
 def test_exported_names_resolve():
     for name in fdmlab.__all__:
         assert hasattr(fdmlab, name), name
-    for mod_name in ("stencil", "spectrum", "timeint", "fulldisc", "wavesys", "molsim"):
+    for mod_name in MODULES:
         mod = importlib.import_module(f"fdmlab.{mod_name}")
         for name in mod.__all__:
             assert hasattr(mod, name), f"fdmlab.{mod_name}.{name}"
+
+
+def test_package_names_are_the_modules_names():
+    # the package restates no name: its list is the modules' lists in order
+    want = ["__version__"]
+    for mod_name in MODULES:
+        want += importlib.import_module(f"fdmlab.{mod_name}").__all__
+    assert fdmlab.__all__ == want
+    assert len(set(want)) == len(want)
 
 
 def test_readme_library_tour_runs():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fdmlab import (
+    GridConfig,
     SpectrumClass,
     WaveDiscretization,
     build_dx,
@@ -110,6 +111,17 @@ def test_grid_pairs_edges():
         grid_eigenpairs(W1, 1.0, 1)
     with pytest.raises(ValueError):
         wave_eigs(W1, -0.5, 1.0)
+
+
+@pytest.mark.parametrize("n", [6.5, 8.0, True])
+def test_cell_count_must_be_an_integer(n):
+    # a fractional count would put pairs at the off-grid angles 2 pi k / 6.5
+    with pytest.raises(ValueError) as grid_err:
+        GridConfig(n, 0.0, 0.1)
+    for call in (lambda: grid_eigenpairs(W1, 1.0, n), lambda: classify_spectrum(W1, 0.0, n)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == str(grid_err.value) == f"n_cells must be an integer, got {n!r}"
 
 
 @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan, -0.5])
