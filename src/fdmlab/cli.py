@@ -63,9 +63,10 @@ def parse_int_list(text: str) -> list[int]:
                 raise ValueError(f"bad range {text!r}")
             return list(range(a, b + 1, s))
         raise ValueError(f"bad range {text!r}")
-    if "," in text:
-        return [int(p) for p in text.split(",") if p]
-    return [int(text)]
+    vals = [int(p) for p in text.split(",") if p]
+    if not vals:
+        raise ValueError("empty list")
+    return vals
 
 
 def parse_float_list(text: str) -> list[float]:
@@ -178,8 +179,7 @@ def cmd_trajectory(args):
         dx = build_dx(l, r)
         dxx = build_dxx(q)
         for rv in r_list:
-            sym = spectrum.AdeSymbol(dx, dxx, rv)
-            th, lam = spectrum.sample_trajectory(sym, args.samples)
+            th, lam = spectrum.sample_trajectory(dx, dxx, rv, args.samples)
             rows = zip(th.tolist(), lam.real.tolist(), lam.imag.tolist())
             yield (f"{args.out}dx{l}_{r}_dxx{q}_R{_fmt(rv)}.csv",
                    _csv_text("theta,re,im", rows))

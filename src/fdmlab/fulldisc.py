@@ -153,19 +153,14 @@ def semidiscrete_eigs(dx: FdOperator | None, dxx: FdOperator | None,
                       grid: GridConfig) -> np.ndarray:
     """h-scaled semidiscrete eigenvalues lambda_R at s_k, k = 1..n.
 
-    Either operator may be None (term absent); the k = n entry is exactly 0
-    by consistency.  The symbols bound their own memory per block of angles.
+    Either operator may be None (term absent), and R = 0 drops the
+    diffusion term; with no term left a ValueError is raised.  The k = n
+    entry is exactly 0 by consistency.  The symbols bound their own memory
+    per block of angles.
     """
     r = grid.r
-    if dx is None and (dxx is None or r == 0):
-        raise ValueError("at least one active operator is required")
     th = spectrum.grid_angles(grid.n_cells)
-    lam = np.zeros(grid.n_cells, dtype=complex)
-    if dx is not None:
-        lam += spectrum.advection_symbol(dx, th)
-    if dxx is not None and r != 0:
-        lam += r * spectrum.diffusion_symbol(dxx, th)
-    return lam
+    return spectrum.ade_symbol(dx, None if r == 0 else dxx, r, th)
 
 
 def full_spectrum(dx: FdOperator | None, dxx: FdOperator | None, grid: GridConfig,

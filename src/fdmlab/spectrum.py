@@ -11,17 +11,18 @@ the diffusion part contributes the real, even function
     lambda_inf(theta) = b_0 + 2 sum_{k>=1} b_k cos(k theta),
 
 and the combined symbol for reciprocal cell Reynolds number R is
-lambda_R = lambda_0 + R * lambda_inf.  Everything here is plain double
-precision except where cancellation would destroy the result: the real
-part of lambda_0 behaves like -c * theta^(2*left) near theta = 0, far
-below summation roundoff for wide stencils, so sign-critical paths use
-the closed-form sine-power expression instead of the coefficient sum.
+lambda_R = lambda_0 + R * lambda_inf, added up by :func:`ade_symbol` alone
+for the sampled curves, the parabola bound and the grid spectra of
+``fulldisc``.  Everything here is plain double precision except where
+cancellation would destroy the result: the real part of lambda_0 behaves
+like -c * theta^(2*left) near theta = 0, far below summation roundoff for
+wide stencils, so sign-critical paths use the closed-form sine-power
+expression instead of the coefficient sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 
@@ -30,8 +31,6 @@ import numpy as np
 from .stencil import FdOperator, StabilityClass, StencilKind, classify
 
 __all__ = [
-    "AdeSymbol",
-    "BoundConstants",
     "advection_symbol",
     "diffusion_symbol",
     "ade_symbol",
@@ -60,61 +59,28 @@ def _require_dxx(op: FdOperator) -> None:
         raise ValueError("expected a centered second-derivative operator")
 
 
-@dataclass(frozen=True)
-class AdeSymbol:
-    """Operator pair plus reciprocal cell Reynolds number R = nu / h.
-
-    ``r`` may be ``math.inf`` to denote the diffusion-dominated limit, in
-    which case only the trajectory sampler applies.
-    """
-
-    dx: FdOperator
-    dxx: FdOperator
-    r: float
-
-    def __post_init__(self) -> None:
-        _require_dx(self.dx)
-        _require_dxx(self.dxx)
-        if not (self.r >= 0):
-            raise ValueError("R must be non-negative")
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Grid constants tying Re and Im of the symbol together.
-
-    L1 bounds the advection imaginary part, y_0(theta)^2 <= L1 * theta^2;
-    L2 bounds the diffusion decay, -lambda_inf(theta) >= L2 * theta^2.
-    The combined symbol then stays left of the parabola x = -R*(L2/L1)*y^2.
-    """
-
-    L1: float
-    L2: float
-    L: float
-
-    def __post_init__(self) -> None:
-        if not (self.L1 > 0 and self.L2 > 0):
-            raise ValueError("bound constants must be positive")
-        if self.L != self.L2 / self.L1:
-            raise ValueError("L must equal L2 / L1")
-
-
 def sample_grid(n_samples: int) -> np.ndarray:
     """Uniform angles theta_j = -pi + 2 pi j / n, j = 0..n-1.
 
     For even n the grid contains theta = 0 exactly, the consistency point
     where every symbol vanishes.
     """
+    _check_integer(n_samples, "n_samples")
     if n_samples < 8:
         raise ValueError("need at least 8 samples")
     j = np.arange(n_samples)
     return -math.pi + 2.0 * math.pi * j / n_samples
 
 
+def _check_integer(count, name: str) -> None:
+    """The integer rule of every cell and sample count; bools are refused."""
+    if isinstance(count, bool) or not isinstance(count, Integral):
+        raise ValueError(f"{name} must be an integer, got {count!r}")
+
+
 def _check_n_cells(n_cells, least: int) -> None:
     """The cell-count rule of every periodic grid: an integer >= least."""
-    if isinstance(n_cells, bool) or not isinstance(n_cells, Integral):
-        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
+    _check_integer(n_cells, "n_cells")
     if n_cells < least:
         raise ValueError(f"need at least {least} cells")
 
@@ -171,29 +137,33 @@ def diffusion_symbol(dxx: FdOperator, theta):
     return _evaluate(block, theta, float)
 
 
-def ade_symbol(sym: AdeSymbol, theta):
-    """Combined symbol lambda_R = lambda_0 + R * lambda_inf (finite R)."""
-    if math.isinf(sym.r):
-        raise ValueError("combined symbol needs finite R; sample the diffusion part instead")
-    adv = advection_symbol(sym.dx, theta)
-    dif = diffusion_symbol(sym.dxx, theta)
-    return adv + sym.r * dif
+def ade_symbol(dx: FdOperator | None, dxx: FdOperator | None, r: float, theta):
+    """Combined symbol lambda_R = lambda_0 + R * lambda_inf for finite R >= 0.
+
+    Either operator may be None (term absent), not both.  Accepts a scalar
+    or an array of angles; exactly 0 at theta = 0.
+    """
+    if dx is None and dxx is None:
+        raise ValueError("at least one active operator is required")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"R must be finite and non-negative, got {r!r}")
+    adv = 0j if dx is None else advection_symbol(dx, theta)
+    return adv + (0.0 if dxx is None else r * diffusion_symbol(dxx, theta))
 
 
-def sample_trajectory(sym: AdeSymbol,
+def sample_trajectory(dx: FdOperator | None, dxx: FdOperator | None, r: float,
                       n_samples: int = N_SAMPLES) -> tuple[np.ndarray, np.ndarray]:
     """Sample the symbol curve on the uniform angle grid.
 
     Returns ``(theta, lam)``: the float angles of :func:`sample_grid` and
-    the complex symbol values lam = x + i y there.  With R = inf the
-    samples trace the (real) diffusion symbol alone.
+    the complex symbol values lam = x + i y there.  Operators and R are
+    those of :func:`ade_symbol`, except that R = inf traces the (real)
+    diffusion symbol alone and ignores ``dx``.
     """
     th = sample_grid(n_samples)
-    if math.isinf(sym.r):
-        lam = diffusion_symbol(sym.dxx, th).astype(complex)
-    else:
-        lam = ade_symbol(sym, th)
-    return th, lam
+    if r == math.inf:
+        return th, ade_symbol(None, dxx, 1.0, th)
+    return th, ade_symbol(dx, dxx, r, th)
 
 
 def upwind_symbol_real_part(dx: FdOperator, theta):
@@ -261,8 +231,9 @@ def asymptotic_exponent(dx: FdOperator) -> float:
     return float(slope)
 
 
-def bound_constants(dx: FdOperator, dxx: FdOperator) -> BoundConstants:
-    """Empirical parabola constants on the N_SAMPLES-angle uniform grid.
+def bound_constants(dx: FdOperator, dxx: FdOperator) -> tuple[float, float]:
+    """Empirical parabola constants ``(L1, L2)`` on the N_SAMPLES-angle
+    uniform grid; the symbol stays left of x = -R * (L2/L1) * y^2.
 
     L1 = max y_0^2/theta^2 and L2 = min -lambda_inf/theta^2, both with the
     analytic limit value 1 substituted at theta = 0.  Requires an upwind
@@ -280,17 +251,21 @@ def bound_constants(dx: FdOperator, dxx: FdOperator) -> BoundConstants:
     r1[nz] = (y0[nz] / th[nz]) ** 2
     r2 = np.ones_like(th)
     r2[nz] = -xinf[nz] / th[nz] ** 2
-    L1 = float(np.max(r1))
     L2 = float(np.min(r2))
     if L2 <= 0:
         raise ValueError("diffusion symbol is not strictly damping on the grid")
-    return BoundConstants(L1, L2, L2 / L1)
+    return float(np.max(r1)), L2
 
 
-def check_global_bound(sym: AdeSymbol) -> bool:
+def _left_of_parabola(lam: np.ndarray, r: float, L: float) -> bool:
+    """x <= -R * L * y^2 + BOUND_SLACK at every lam = x + i y."""
+    return bool(np.all(lam.real <= -r * L * lam.imag**2 + BOUND_SLACK))
+
+
+def check_global_bound(dx: FdOperator, dxx: FdOperator, r: float) -> bool:
     """Verify x_R <= -R * L * y_R^2 + BOUND_SLACK at every sample of the
-    N_SAMPLES-angle uniform grid, with L from :func:`bound_constants`."""
-    L = bound_constants(sym.dx, sym.dxx).L
-    th = sample_grid(N_SAMPLES)
-    lam = ade_symbol(sym, th)
-    return bool(np.all(lam.real <= -sym.r * L * lam.imag**2 + BOUND_SLACK))
+    N_SAMPLES-angle uniform grid, with L = L2 / L1 from
+    :func:`bound_constants`."""
+    lam = ade_symbol(dx, dxx, r, sample_grid(N_SAMPLES))
+    L1, L2 = bound_constants(dx, dxx)
+    return _left_of_parabola(lam, r, L2 / L1)

@@ -219,7 +219,9 @@ def tableau_from_json(path) -> ButcherTableau:
     """Load a tableau from a JSON file.
 
     Expected keys: "a" (ragged or square rows), "b", optional "c",
-    "name", "order", "stages".  Entries may be numbers or "p/q" strings.
+    "name" (a string), "order" (an integer >= 1 or null) and "stages" (an
+    integer equal to the weight count).  Entries may be numbers or "p/q"
+    strings.
     An unreadable file raises OSError, malformed content ValueError.
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -230,10 +232,14 @@ def tableau_from_json(path) -> ButcherTableau:
         raise ValueError(f'tableau "a" must be a list of rows, got {a!r}')
     if not (isinstance(b, list) and isinstance(c, (list, type(None)))):
         raise ValueError(f'tableau "b" and optional "c" must be lists, got b={b!r}, c={c!r}')
-    stages = data.get("stages", len(b))
+    name, order, stages = data.get("name", ""), data.get("order"), data.get("stages", len(b))
+    if not isinstance(name, str):
+        raise ValueError(f'tableau "name" must be a string, got {name!r}')
+    if order is not None and (isinstance(order, bool) or not isinstance(order, int) or order < 1):
+        raise ValueError(f'tableau "order" must be an integer >= 1 or null, got {order!r}')
+    if isinstance(stages, bool) or not isinstance(stages, int):
+        raise ValueError(f'tableau "stages" must be an integer, got {stages!r}')
     if stages != len(b):
         raise ValueError("stages field disagrees with weight count")
-    return ButcherTableau.from_rows(
-        a, b, c, name=data.get("name", ""), order=data.get("order")
-    )
+    return ButcherTableau.from_rows(a, b, c, name=name, order=order)
 

@@ -14,7 +14,10 @@ diffusion symbol and R = nu/h.  Its eigenvalues are
     ( R b - (am - ap) +/- sqrt(R^2 b^2 + (am + ap)^2) ) / 2,
 
 and both square-root branches are enumerated explicitly so no branch-cut
-choice can drop an eigenvalue.  The semistability checks evaluate the
+choice can drop an eigenvalue.  :func:`wave_eigs` is the one place that
+evaluates this pair, at a scalar or an array of angles, and the one place
+that checks R; the sampled curve, the grid pairs, the classification and
+both checks all call it.  The semistability checks evaluate the
 tiny real parts of the one-sided symbols through their closed forms;
 summing coefficients would bury those signs under roundoff for wide
 stencils.
@@ -30,9 +33,9 @@ from functools import cached_property
 import numpy as np
 
 from .spectrum import (
-    BOUND_SLACK,
     N_SAMPLES,
     _check_n_cells,
+    _left_of_parabola,
     advection_symbol,
     bound_constants,
     diffusion_symbol,
@@ -100,15 +103,18 @@ def wave_symbols(w: WaveDiscretization, theta):
     return am, ap, b
 
 
-def _eig_arrays(w: WaveDiscretization, r: float, th: np.ndarray):
-    """Vectorized eigenvalue pairs plus the jordan mask.
+def wave_eigs(w: WaveDiscretization, r: float, theta):
+    """Eigenvalue pairs of the mode block, both branches, plus the jordan mask.
 
-    Every public entry point reaches the pair formula through here, so
-    this is where R is checked.
+    Accepts a scalar or an array of angles and returns ``(lam1, lam2,
+    jordan)`` of the same shape; ``jordan`` marks a defective (repeated,
+    non-diagonalizable) block.  Every public entry point reaches the pair
+    formula through here, so this is where R is checked.
     """
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"R must be finite and non-negative, got {r!r}")
-    am, ap, b = wave_symbols(w, th)
+    th = np.asarray(theta, dtype=float)
+    am, ap, b = wave_symbols(w, th.reshape(-1))
     rb = r * b
     s = am + ap
     d = am - ap
@@ -124,18 +130,7 @@ def _eig_arrays(w: WaveDiscretization, r: float, th: np.ndarray):
     # at the consistency point where the whole block is exactly zero.
     zero_block = (s == 0) & (rb == 0)
     jordan = (np.abs(disc) <= _JORDAN_TOL * scale) & ~zero_block
-    return lam1, lam2, jordan
-
-
-def wave_eigs(w: WaveDiscretization, r: float,
-              theta: float) -> tuple[complex, complex, bool]:
-    """Eigenvalue pair of the mode block at one angle, both branches.
-
-    Returns ``(lam1, lam2, jordan)``; ``jordan`` marks a defective
-    (repeated, non-diagonalizable) block.
-    """
-    lam1, lam2, jordan = _eig_arrays(w, r, np.asarray([float(theta)]))
-    return complex(lam1[0]), complex(lam2[0]), bool(jordan[0])
+    return tuple(x.reshape(th.shape)[()] for x in (lam1, lam2, jordan))
 
 
 def sample_wave_trajectory(w: WaveDiscretization, r: float, n_samples: int = N_SAMPLES):
@@ -145,7 +140,7 @@ def sample_wave_trajectory(w: WaveDiscretization, r: float, n_samples: int = N_S
     complex eigenvalues and the boolean defective-block mask.
     """
     th = sample_grid(n_samples)
-    return (th, *_eig_arrays(w, r, th))
+    return (th, *wave_eigs(w, r, th))
 
 
 def grid_eigenpairs(w: WaveDiscretization, r: float, n_cells: int):
@@ -157,7 +152,7 @@ def grid_eigenpairs(w: WaveDiscretization, r: float, n_cells: int):
     """
     _check_n_cells(n_cells, 2)
     th = grid_angles(n_cells)
-    return (th, *_eig_arrays(w, r, th))
+    return (th, *wave_eigs(w, r, th))
 
 
 def _one_sided_real_parts(w: WaveDiscretization, th: np.ndarray):
@@ -186,7 +181,7 @@ def wave_semistable_check(w: WaveDiscretization, r: float) -> bool:
     """
     th = sample_grid(N_SAMPLES)
     zero = th == 0.0
-    lam1, lam2, _ = _eig_arrays(w, r, th)
+    lam1, lam2, _ = wave_eigs(w, r, th)
     if not (np.all(lam1[zero] == 0) and np.all(lam2[zero] == 0)):
         return False
     nz = ~zero
@@ -245,12 +240,7 @@ def wave_bound_check(w: WaveDiscretization, r: float) -> tuple[float, bool]:
     """
     if not w.symmetric:
         raise ValueError("bound check applies to symmetric pairs")
-    bc = bound_constants(w.dx_minus, w.dxx)
-    L = bc.L2 / (2.0 * bc.L1)
-    th = sample_grid(N_SAMPLES)
-    lam1, lam2, _ = _eig_arrays(w, r, th)
-    ok = bool(
-        np.all(lam1.real <= -r * L * lam1.imag**2 + BOUND_SLACK)
-        and np.all(lam2.real <= -r * L * lam2.imag**2 + BOUND_SLACK)
-    )
-    return L, ok
+    L1, L2 = bound_constants(w.dx_minus, w.dxx)
+    L = L2 / (2.0 * L1)
+    lam1, lam2, _ = wave_eigs(w, r, sample_grid(N_SAMPLES))
+    return L, _left_of_parabola(lam1, r, L) and _left_of_parabola(lam2, r, L)

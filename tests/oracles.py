@@ -1,13 +1,14 @@
 """Independent dense oracles for the test suite.
 
 Everything here recomputes quantities by a different route than the
-library: exact-rational linear solves for stencil coefficients, dense
-circulant matrices plus a general eigensolver for spectra, matrix
-Horner evaluation for update operators, and a per-offset ``np.roll``
-loop for periodic stencil application.  Slow on purpose; tests keep the
-sizes small.
+library: exact-rational linear solves for stencil coefficients, per-term
+exponential sums for symbols, dense circulant matrices plus a general
+eigensolver for spectra, matrix Horner evaluation for update operators,
+and a per-offset ``np.roll`` loop for periodic stencil application.  Slow
+on purpose; tests keep the sizes small.
 """
 
+import cmath
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,25 @@ def roll_apply(op: FdOperator, u):
             acc += c * np.roll(u, -k)
     p = 1 if op.spec.kind is StencilKind.FIRST_DERIVATIVE else 2
     return acc * float(n) ** p
+
+
+def direct_ade_symbol(dx, dxx, r, theta):
+    """lambda_R at one angle as a per-term sum of complex exponentials.
+
+    Adds -a_k e^{i k theta} for every advection coefficient and
+    R b_k e^{i k theta} for every diffusion coefficient (the full
+    exponential sum, not the cosine form), one Python complex at a time.
+    Returns ``(lam, scale)``, ``scale`` being the sum of the term moduli
+    that bounds the rounding error.
+    """
+    terms = []
+    if dx is not None:
+        terms += [-float(a) * cmath.exp(1j * k * theta)
+                  for k, a in zip(range(-dx.left, dx.right + 1), dx.coeffs)]
+    if dxx is not None:
+        terms += [r * float(b) * cmath.exp(1j * k * theta)
+                  for k, b in zip(range(-dxx.left, dxx.right + 1), dxx.coeffs)]
+    return sum(terms, 0j), sum(abs(t) for t in terms)
 
 
 def dense_ade_matrix(dx, dxx, n, nu):

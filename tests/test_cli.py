@@ -31,7 +31,7 @@ def test_parse_int_list_stepped_and_plain():
     assert cli.parse_int_list("64") == [64]
 
 
-@pytest.mark.parametrize("bad", ["0:8", "8:4", "4:10:0", "1:2:3:4"])
+@pytest.mark.parametrize("bad", ["0:8", "8:4", "4:10:0", "1:2:3:4", ","])
 def test_parse_int_list_rejects(bad):
     with pytest.raises(ValueError):
         cli.parse_int_list(bad)
@@ -186,6 +186,11 @@ def test_tableau_check_missing_file(capsys, tmp_path):
     ({"a": [[], [[1]]], "b": [0.5, 0.5]}, "[1]"),
     ({"a": [[]], "b": 1}, '"b"'),
     ({"a": [[], [1], [5, 5]], "b": [1]}, "3 stage rows for 1 weights"),
+    ({"a": [[], [1]], "b": ["1/2", "1/2"], "order": "two", "name": 7}, '"name"'),
+    ({"a": [[], [1]], "b": ["1/2", "1/2"], "order": "two"}, '"order"'),
+    ({"a": [[], [1]], "b": ["1/2", "1/2"], "order": True}, '"order"'),
+    ({"a": [[], [1]], "b": ["1/2", "1/2"], "order": 0}, '"order"'),
+    ({"a": [[]], "b": [1], "stages": True}, '"stages"'),
 ])
 def test_tableau_check_bad_entry_is_a_usage_error(capsys, tmp_path, content, entry):
     path = tmp_path / "bad.json"
@@ -240,6 +245,26 @@ def test_index_sweep_unknown_tableau(capsys):
     code, _, err = run(capsys, "index-sweep", "--tableau", "rk99",
                        "--dx", "1", "0", "--mu", "0.1", "--n", "32")
     assert code == 2 and "rk99" in err
+
+
+def test_index_sweep_empty_resolution_list(capsys):
+    # no resolution would print a header-only CSV
+    code, out, err = run(capsys, "index-sweep", "--tableau", "fe",
+                         "--dx", "1", "0", "--mu", "0.1", "--n", ",")
+    assert code == 2 and out == ""
+    assert "empty list" in err
+
+
+@pytest.mark.parametrize("command,control", [
+    ("index-sweep", ["--mu", "0.1"]),
+    ("threshold", []),
+])
+def test_ade_commands_reject_overflowing_r(capsys, command, control):
+    # nu * N overflows to R = inf; the sweep used to print rho = nan
+    code, out, err = run(capsys, command, "--tableau", "fe", "--dx", "1", "0",
+                         "--dxx", "1", "--nu", "1e308", "--n", "16", *control)
+    assert code == 2 and out == ""
+    assert "R must be finite" in err
 
 
 # ----------------------------------------------------------- threshold
@@ -309,10 +334,10 @@ def test_wave_classify_evaluates_the_spectrum_once(capsys, monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        return eig_arrays(*args)
+        return wave_eigs(*args)
 
-    eig_arrays = wavesys._eig_arrays
-    monkeypatch.setattr(wavesys, "_eig_arrays", counting)
+    wave_eigs = wavesys.wave_eigs
+    monkeypatch.setattr(wavesys, "wave_eigs", counting)
     for nu in ("10", "0.1"):
         calls.clear()
         code, _, _ = run(capsys, "wave-classify", "--dx-minus", "1", "0",

@@ -1,32 +1,43 @@
 """Property tests over random tableaux, stencils, grids and step ratios.
 
 Each property compares a library result with an independent route to the
-same number: stage-by-stage evaluation of a Runge-Kutta step, a dense
-circulant eigensolve, or a Fourier transform of one simulator step.
+same number: stage-by-stage evaluation of a Runge-Kutta step, a per-term
+exponential sum, a dense circulant eigensolve, or a Fourier transform of
+one simulator step.
 Examples are derandomized, so every run draws the same cases.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fdmlab import (
     ButcherTableau,
     GridConfig,
     SimConfig,
+    WaveDiscretization,
+    ade_symbol,
     build_dx,
     build_dxx,
     eval_p,
     get_tableau,
+    grid_eigenpairs,
     make_state,
     mirror,
+    sample_trajectory,
     semidiscrete_eigs,
     stability_polynomial,
     step_ade,
 )
-from oracles import assert_multiset_close, dense_ade_matrix
+from oracles import (
+    assert_multiset_close,
+    dense_ade_matrix,
+    dense_wave_matrix,
+    direct_ade_symbol,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -34,6 +45,9 @@ small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 extents = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda lr: sum(lr) > 0)
 half_widths = st.none() | st.integers(1, 3)
 z_parts = st.floats(-4.0, 4.0)
+reynolds = st.just(0.0) | st.floats(0.0, 5.0)
+# one-sided families: upwind has left = right + 1 or right + 2
+upwind = st.builds(lambda r, gap: (r + gap, r), st.integers(0, 3), st.integers(1, 2))
 
 
 @st.composite
@@ -73,6 +87,43 @@ def test_mirror_is_an_involution_onto_the_swapped_extent(lr):
     op = build_dx(left, right)
     assert mirror(mirror(op)) == op
     assert mirror(op) == build_dx(right, left)
+
+
+@PROPERTY
+@given(st.none() | extents, half_widths, reynolds,
+       st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=6))
+def test_ade_symbol_matches_direct_sum(lr, q, r, angles):
+    assume(lr is not None or q is not None)
+    dx = None if lr is None else build_dx(*lr)
+    dxx = None if q is None else build_dxx(q)
+    lam = ade_symbol(dx, dxx, r, np.array(angles))
+    for theta, got in zip(angles, lam):
+        want, scale = direct_ade_symbol(dx, dxx, r, theta)
+        for value in (got, ade_symbol(dx, dxx, r, theta)):
+            assert abs(value - want) <= 1e-13 * (1.0 + scale)
+
+
+@PROPERTY
+@given(st.none() | extents, half_widths, reynolds | st.just(math.inf), st.integers(8, 40))
+def test_sample_trajectory_matches_direct_sum(lr, q, r, n):
+    assume((lr is not None and r != math.inf) or q is not None)
+    dx = None if lr is None else build_dx(*lr)
+    dxx = None if q is None else build_dxx(q)
+    theta, lam = sample_trajectory(dx, dxx, r, n)
+    # R = inf samples the diffusion part alone
+    terms = (None, dxx, 1.0) if r == math.inf else (dx, dxx, r)
+    for th, got in zip(theta, lam):
+        want, scale = direct_ade_symbol(*terms, th)
+        assert abs(got - want) <= 1e-13 * (1.0 + scale)
+
+
+@PROPERTY
+@given(upwind, upwind, st.integers(1, 3), st.integers(2, 16), reynolds)
+def test_grid_eigenpairs_match_dense_oracle(lm, lp, q, n, r):
+    w = WaveDiscretization(build_dx(*lm), mirror(build_dx(*lp)), build_dxx(q))
+    _, lam1, lam2, _ = grid_eigenpairs(w, r, n)
+    dense = np.linalg.eigvals(dense_wave_matrix(w, n, r / n)) / n
+    assert_multiset_close(np.concatenate([lam1, lam2]), dense, tol=1e-10)
 
 
 @PROPERTY

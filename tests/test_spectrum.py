@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from fdmlab import (
-    AdeSymbol,
-    BoundConstants,
     ade_symbol,
     advection_symbol,
     asymptotic_exponent,
@@ -36,6 +34,17 @@ def test_sample_grid_layout():
         sample_grid(4)
 
 
+@pytest.mark.parametrize("n", [8.5, 16.0, True])
+def test_sample_count_must_be_an_integer(n):
+    # 8.5 samples would give 9 angles ending at 2.77, not a period grid
+    calls = (lambda: sample_grid(n),
+             lambda: sample_trajectory(build_dx(1, 0), build_dxx(1), 1.0, n))
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"n_samples must be an integer, got {n!r}"
+
+
 def test_symbol_pinned_values():
     assert advection_symbol(build_dx(1, 0), 0.0) == 0.0
     assert abs(advection_symbol(build_dx(1, 0), math.pi) - (-2.0)) < 1e-14
@@ -56,19 +65,18 @@ def test_ade_symbol_combines_linearly():
     dx, dxx = build_dx(3, 1), build_dxx(2)
     th = sample_grid(64)
     for r in (0.0, 0.1, 7.5):
-        sym = AdeSymbol(dx, dxx, r)
         np.testing.assert_allclose(
-            ade_symbol(sym, th),
+            ade_symbol(dx, dxx, r, th),
             advection_symbol(dx, th) + r * diffusion_symbol(dxx, th),
             rtol=0, atol=1e-15,
         )
     with pytest.raises(ValueError):
-        ade_symbol(AdeSymbol(dx, dxx, math.inf), 1.0)
+        ade_symbol(dx, dxx, math.inf, 1.0)
 
 
 def test_symbol_validation():
     with pytest.raises(ValueError):
-        AdeSymbol(build_dx(1, 0), build_dxx(1), -1.0)
+        ade_symbol(build_dx(1, 0), build_dxx(1), -1.0, 1.0)
     with pytest.raises(ValueError):
         advection_symbol(build_dxx(1), 1.0)
     with pytest.raises(ValueError):
@@ -76,13 +84,13 @@ def test_symbol_validation():
 
 
 def test_trajectory_sampling():
-    sym = AdeSymbol(build_dx(2, 1), build_dxx(1), 0.5)
-    th, lam = sample_trajectory(sym, 128)
+    dx, dxx = build_dx(2, 1), build_dxx(1)
+    th, lam = sample_trajectory(dx, dxx, 0.5, 128)
     assert len(th) == len(lam) == 128
-    want = ade_symbol(sym, float(th[3]))
+    want = ade_symbol(dx, dxx, 0.5, float(th[3]))
     assert lam[3].real == want.real and lam[3].imag == want.imag
     # R = inf traces the pure diffusion symbol, which is real
-    _, flat = sample_trajectory(AdeSymbol(build_dx(2, 1), build_dxx(1), math.inf), 64)
+    _, flat = sample_trajectory(dx, dxx, math.inf, 64)
     assert np.all(flat.imag == 0.0)
     assert np.any(flat.real < 0)
 
@@ -150,23 +158,19 @@ def test_asymptotic_exponent_argument_forms():
 
 
 def test_bound_constants_first_order_pair():
-    bc = bound_constants(build_dx(1, 0), build_dxx(1))
+    L1, L2 = bound_constants(build_dx(1, 0), build_dxx(1))
     # |sin theta / theta| peaks at 1; 4 sin^2(theta/2)/theta^2 bottoms at pi
-    assert abs(bc.L1 - 1.0) < 1e-12
-    assert abs(bc.L2 - 4.0 / math.pi**2) < 1e-12
-    assert abs(bc.L - bc.L2 / bc.L1) < 1e-15
+    assert abs(L1 - 1.0) < 1e-12
+    assert abs(L2 - 4.0 / math.pi**2) < 1e-12
     with pytest.raises(ValueError):
         bound_constants(build_dx(1, 1), build_dxx(1))
-    with pytest.raises(ValueError):
-        BoundConstants(1.0, 0.5, 0.3)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.1, 1.0, 10.0, 250.0])
 def test_global_parabola_bound(r):
     for pair in [((1, 0), 1), ((3, 1), 2), ((21, 20), 20)]:
         (l, rr), q = pair
-        sym = AdeSymbol(build_dx(l, rr), build_dxx(q), r)
-        assert check_global_bound(sym)
+        assert check_global_bound(build_dx(l, rr), build_dxx(q), r)
 
 
 def test_semidiscrete_damping_margin():
@@ -177,7 +181,7 @@ def test_semidiscrete_damping_margin():
     envelope = upwind_symbol_real_part(dx, th)
     assert np.all(envelope[nz] < 0.0)
     for r in (0.5, 5.0):
-        lam = ade_symbol(AdeSymbol(dx, dxx, r), th)
+        lam = ade_symbol(dx, dxx, r, th)
         assert np.all(lam.real[nz] <= envelope[nz] + 1e-13)
         assert lam.real[th == 0.0] == 0.0
 
@@ -193,10 +197,10 @@ def test_trajectory_memory_stays_bounded():
     # One (angles x width) phase matrix for all 2^18 angles of dx(21, 20)
     # would take 172 MB, and exp() needs a second one; blocks of 2^16
     # angles keep the peak near 90 MB.
-    sym = AdeSymbol(build_dx(21, 20), build_dxx(20), 1.0)
+    dx, dxx = build_dx(21, 20), build_dxx(20)
     tracemalloc.start()
     try:
-        _, lam = sample_trajectory(sym, 2**18)
+        _, lam = sample_trajectory(dx, dxx, 1.0, 2**18)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 """The names other tooling and the README rely on exist on the package."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -9,6 +10,7 @@ import fdmlab
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 MODULES = ("stencil", "spectrum", "timeint", "fulldisc", "wavesys", "molsim")
 
 
@@ -22,6 +24,29 @@ def test_traced_functions_resolve():
     for mod_name, fn_name in tracer.TARGETS:
         mod = importlib.import_module(f"fdmlab.{mod_name}")
         assert callable(getattr(mod, fn_name, None)), f"fdmlab.{mod_name}.{fn_name}"
+
+
+def test_workload_names_resolve():
+    # the benchmark is frozen: a rename that breaks one of its calls must
+    # fail here, not only when the benchmark runs; docstrings are skipped
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "fdmlab"
+        for alias in node.names
+    }
+    assert modules >= {"stencil", "timeint", "fulldisc", "wavesys", "molsim"}
+    refs = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert refs
+    for mod_name, name in sorted(refs):
+        mod = importlib.import_module(f"fdmlab.{mod_name}")
+        assert hasattr(mod, name), f"fdmlab.{mod_name}.{name}"
 
 
 def test_exported_names_resolve():
