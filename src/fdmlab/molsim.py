@@ -9,8 +9,10 @@ raises BlowUpError rather than continuing into overflow.
 Each periodic stencil is applied as one gather: a (w, N) index array
 (j + k) mod N over the w nonzero-coefficient offsets k picks every
 neighbor at once, the rows are weighted and summed in offset order, and
-the sum is scaled by N^p.  A SimConfig builds the gather kernels of its
-operators once, on its first step, and reuses them for the whole run.
+the sum is scaled by N^p.  On its first step a SimConfig builds its
+``update``: the one function that advances its fields by dt, holding a
+gather for each of its operators, the right-hand side of its system and
+the nonzero entries of its tableau.  Every later step reuses it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .fulldisc import GridConfig
+from .spectrum import _require_dx, _require_dxx
 from .stencil import FdOperator, StencilKind
 from .timeint import ButcherTableau
 from .wavesys import WaveDiscretization
@@ -93,6 +96,9 @@ class SimConfig:
             dx, dxx = self.operators
             if not isinstance(dx, FdOperator):
                 raise ValueError("scalar config needs an advection operator")
+            _require_dx(dx)
+            if dxx is not None:
+                _require_dxx(dxx)
             if self.grid.nu != 0 and dxx is None:
                 raise ValueError("nonzero viscosity needs a diffusion operator")
 
@@ -101,17 +107,52 @@ class SimConfig:
         return isinstance(self.operators, WaveDiscretization)
 
     @cached_property
-    def kernels(self) -> tuple:
-        """Gather kernels of the operators, built on first use.
-
-        (dx, dxx) for the scalar equation, (dx_minus, dx_plus, dxx) for
-        the wave system; None where the operator is absent.
-        """
+    def update(self):
+        """``update(fields, dt) -> new fields``: one step of the tableau on
+        this config's system, built on first use.  Stage i adds dt a_ij k_j
+        and the result dt b_j k_j in ascending j, skipping float zeros."""
+        n, nu = self.grid.n_cells, self.grid.nu
         ops = self.operators
         if self.is_wave:
-            ops = (ops.dx_minus, ops.dx_plus, ops.dxx)
-        n = self.grid.n_cells
-        return tuple(None if op is None else _gather_kernel(op, n) for op in ops)
+            dx_minus, dx_plus, dxx = (_gather_kernel(op, n)
+                                      for op in (ops.dx_minus, ops.dx_plus, ops.dxx))
+
+            def rhs(fields):
+                v, p = fields
+                dm = dx_minus(v + p)
+                dp = dx_plus(v - p)
+                dv = -0.5 * dm + 0.5 * dp
+                if nu != 0.0:
+                    dv = dv + nu * dxx(v)
+                return (dv, -0.5 * dm - 0.5 * dp)
+        else:
+            dx, dxx = (None if op is None else _gather_kernel(op, n) for op in ops)
+
+            def rhs(fields):
+                (w,) = fields
+                out = -dx(w)
+                if nu != 0.0:
+                    out += nu * dxx(w)
+                return (out,)
+
+        tab = self.tableau
+        plan = [[(j, float(a)) for j, a in enumerate(row) if float(a) != 0.0]
+                for row in tab.a]
+        weights = [(j, float(b)) for j, b in enumerate(tab.b) if float(b) != 0.0]
+
+        def update(fields, dt):
+            ks = []
+            for row in plan:
+                stage = fields
+                for j, aij in row:
+                    stage = tuple(sv + dt * aij * kv for sv, kv in zip(stage, ks[j]))
+                ks.append(rhs(stage))
+            # the weights sum to 1, so at least one runs and the arrays are fresh
+            for j, bj in weights:
+                fields = tuple(fv + dt * bj * kv for fv, kv in zip(fields, ks[j]))
+            return fields
+
+        return update
 
 
 @dataclass
@@ -119,10 +160,11 @@ class SimState:
     """Grid fields at one time level.
 
     ``fields`` holds one vector for the scalar equation, (v, p) for the
-    wave system.  ``linf_history`` collects (t, max|fields|) samples as
-    the run advances.  Each :func:`advance` call copies it once and shares
-    the copy with the states it steps through, so the state passed in
-    keeps its own history.
+    wave system, in the order ``SimConfig.update`` takes them.
+    ``linf_history`` collects (t, max|fields|) samples as the run
+    advances.  Each :func:`advance` call copies it once and shares the
+    copy with the states it steps through, so the state passed in keeps
+    its own history.
     """
 
     t: float
@@ -134,27 +176,29 @@ class SimState:
 
 @dataclass
 class SimResult:
+    """Snapshots (t, fields) and the L-inf history of one run."""
+
     snapshots: list
     linf_history: list
     blowup: bool
     t_blowup: float | None
     final_state: SimState
 
+    @property
+    def growth_factor(self) -> float:
+        """Largest recorded L-inf over the t = 0 entry; nan for zero initial fields."""
+        linf0 = self.linf_history[0][1]
+        return max(v for _, v in self.linf_history) / linf0 if linf0 else math.nan
+
 
 @dataclass
-class GaussianReport:
+class GaussianReport(SimResult):
     """Pulse experiment summary.
 
-    ``growth_factor`` is max recorded L-inf over the initial L-inf;
     ``errors_vs_exact`` maps integer snapshot times to the max deviation
     from the initial pulse (the exact profile recurs at whole periods).
     """
 
-    snapshots: list
-    linf_history: list
-    blowup: bool
-    t_blowup: float | None
-    growth_factor: float
     errors_vs_exact: dict
 
 
@@ -194,8 +238,8 @@ def apply_operator(op: FdOperator, u: np.ndarray) -> np.ndarray:
 
     p is the derivative order of the stencil (1 or 2); grid index
     arithmetic wraps around, matching the circulant symbol analysis.
-    Builds the gather kernel for len(u) on each call; a SimConfig builds
-    its kernels once and reuses them on every step.
+    Builds the gather for len(u) on each call; ``SimConfig.update`` builds
+    one per operator once and reuses it on every step.
     """
     u = np.asarray(u)
     if u.ndim != 1:
@@ -204,66 +248,23 @@ def apply_operator(op: FdOperator, u: np.ndarray) -> np.ndarray:
     return _gather_kernel(op, len(u))(u)
 
 
+def _linf(fields) -> float:
+    return max(float(np.abs(f).max()) for f in fields)
+
+
 def make_state(fields) -> SimState:
     """Fresh state at t = 0; seeds the L-inf history there."""
     fields = tuple(np.asarray(f, dtype=float).copy() for f in fields)
-    linf = max(float(np.max(np.abs(f))) for f in fields)
+    linf = _linf(fields)
     return SimState(t=0.0, fields=fields, step_count=0,
                     linf_history=[(0.0, linf)], last_linf=linf)
 
 
-def _rhs_ade(fields, config: SimConfig):
-    dx, dxx = config.kernels
-    (w,) = fields
-    out = -dx(w)
-    nu = config.grid.nu
-    if nu != 0.0 and dxx is not None:
-        out += nu * dxx(w)
-    return (out,)
-
-
-def _rhs_wave(fields, config: SimConfig):
-    dx_minus, dx_plus, dxx = config.kernels
-    v, p = fields
-    dm = dx_minus(v + p)
-    dp = dx_plus(v - p)
-    dv = -0.5 * dm + 0.5 * dp
-    dpdt = -0.5 * dm - 0.5 * dp
-    nu = config.grid.nu
-    if nu != 0.0:
-        dv = dv + nu * dxx(v)
-    return (dv, dpdt)
-
-
-def _erk_step(fields, rhs, config: SimConfig, dt: float):
-    tab = config.tableau
-    a = tab.a_float.tolist()
-    b = tab.b_float.tolist()
-    ks = []
-    for i in range(tab.stages):
-        stage = fields
-        for j in range(i):
-            aij = a[i][j]
-            if aij != 0.0:
-                stage = tuple(sv + dt * aij * kv for sv, kv in zip(stage, ks[j]))
-        ks.append(rhs(stage, config))
-    new = fields
-    for j in range(tab.stages):
-        bj = b[j]
-        if bj != 0.0:
-            new = tuple(nv + dt * bj * kv for nv, kv in zip(new, ks[j]))
-    # the weights sum to 1, so at least one accumulation ran and the
-    # returned arrays are fresh
-    return new
-
-
-def _step(state: SimState, config: SimConfig, rhs, dt: float | None) -> SimState:
+def _step(state: SimState, config: SimConfig, dt: float | None) -> SimState:
     if dt is None:
         dt = config.grid.dt
-    new_fields = _erk_step(state.fields, rhs, config, dt)
-    linf = float(np.abs(new_fields[0]).max())
-    for f in new_fields[1:]:
-        linf = max(linf, float(np.abs(f).max()))
+    new_fields = config.update(state.fields, dt)
+    linf = _linf(new_fields)
     t = state.t + dt
     if not math.isfinite(linf) or linf > config.blowup_limit:
         raise BlowUpError(t, config.blowup_limit, state)
@@ -275,28 +276,30 @@ def step_ade(state: SimState, config: SimConfig, dt: float | None = None) -> Sim
     """One explicit step of the scalar advection-diffusion equation."""
     if config.is_wave:
         raise ValueError("config holds wave operators")
-    return _step(state, config, _rhs_ade, dt)
+    return _step(state, config, dt)
 
 
 def step_wave(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:
     """One explicit step of the flux-split wave system."""
     if not config.is_wave:
         raise ValueError("config holds scalar operators")
-    return _step(state, config, _rhs_wave, dt)
+    return _step(state, config, dt)
 
 
 def advance(state: SimState, config: SimConfig, t_target: float,
-            record_every: int = 1, stop_linf: float | None = None):
+            stop_linf: float | None = None):
     """Step until ``t_target``, shortening the last step to land exactly.
 
-    Records (t, L-inf) every ``record_every`` steps plus the final level,
-    in a copy of the history: ``state`` itself is not changed.  Returns
-    (state, stopped_early); the flag is set when ``stop_linf`` was reached
-    first.
+    Records (t, L-inf) at the final level and every k-th step, k =
+    max(1, round(t_final / dt) // 4096) so a whole run keeps about 4096
+    samples, in a copy of the history: ``state`` itself is not changed.
+    Returns (state, stopped_early); the flag is set when ``stop_linf`` was
+    reached first.
     """
     step = step_wave if config.is_wave else step_ade
     tol = 1e-12 * max(1.0, abs(t_target))
     dt = config.grid.dt
+    cadence = max(1, round(config.t_final / dt) // 4096)
     eps = sys.float_info.epsilon
     state = replace(state, linf_history=list(state.linf_history))
     while t_target - state.t > tol:
@@ -312,7 +315,7 @@ def advance(state: SimState, config: SimConfig, t_target: float,
             state.t = t_target
         else:
             state = step(state, config)
-        if state.step_count % record_every == 0 or state.t == t_target:
+        if state.step_count % cadence == 0 or state.t == t_target:
             state.linf_history.append((state.t, state.last_linf))
         if stop_linf is not None and state.last_linf >= stop_linf:
             if state.linf_history[-1][0] != state.t:
@@ -321,41 +324,43 @@ def advance(state: SimState, config: SimConfig, t_target: float,
     return state, False
 
 
-def _drive(config: SimConfig, state: SimState, stop_linf: float | None = None):
-    """Advance through the snapshot times up to t_final.
+def _drive(config: SimConfig, initial_fields, stop_linf: float | None = None) -> SimResult:
+    """Advance from the initial fields through the snapshot times up to t_final.
 
-    Copies the fields at every snapshot time (t = 0 included) and records
-    L-inf at a cadence of about 4096 samples per run.  Returns
-    (snapshots, state, t_blowup): a blow-up or reaching ``stop_linf`` ends
-    the run early, and t_blowup is None unless the run blew up.
+    Copies the fields at every snapshot time (t = 0 included).  A blow-up
+    or reaching ``stop_linf`` ends the run early; after a blow-up
+    ``final_state`` is the last state within the limit.
     """
+    want = [(config.grid.n_cells,)] * (2 if config.is_wave else 1)
+    shapes = [np.shape(f) for f in initial_fields]
+    if shapes != want:
+        raise ValueError(f"initial fields must have shapes {want}, got {shapes}")
+    state = make_state(initial_fields)
     targets = list(config.snapshot_times)
     if not targets or targets[-1] != config.t_final:
         targets.append(config.t_final)
-    total_steps = max(1, int(round(config.t_final / config.grid.dt)))
-    cadence = max(1, total_steps // 4096)
     snapshots = []
     for t_snap in targets:
         if t_snap != 0.0:
             try:
-                state, stopped = advance(state, config, t_snap,
-                                         record_every=cadence, stop_linf=stop_linf)
+                state, stopped = advance(state, config, t_snap, stop_linf)
             except BlowUpError as exc:
-                return snapshots, exc.state, exc.time
+                return SimResult(snapshots, exc.state.linf_history, True, exc.time, exc.state)
             if stopped:
                 break
         snapshots.append((state.t, tuple(f.copy() for f in state.fields)))
-    return snapshots, state, None
+    return SimResult(snapshots, state.linf_history, False, None, state)
 
 
 def run_simulation(config: SimConfig, initial_fields) -> SimResult:
     """Advance through the snapshot times up to t_final.
 
-    A blow-up ends the run and is reported in the result instead of
-    propagating; ``final_state`` is then the last state within the limit.
+    ``initial_fields`` holds one length-N vector for the scalar equation,
+    (v, p) for the wave system.  A blow-up ends the run and is reported in
+    the result instead of propagating; ``final_state`` is then the last
+    state within the limit.
     """
-    snapshots, state, t_blowup = _drive(config, make_state(initial_fields))
-    return SimResult(snapshots, state.linf_history, t_blowup is not None, t_blowup, state)
+    return _drive(config, initial_fields)
 
 
 def run_gaussian_experiment(config: SimConfig, stop_factor: float | None = None
@@ -372,14 +377,8 @@ def run_gaussian_experiment(config: SimConfig, stop_factor: float | None = None
     if config.grid.nu != 0.0:
         raise ValueError("the pulse experiment requires nu = 0")
     w0 = gaussian_pulse(config.grid.n_cells)
-    linf0 = float(np.max(np.abs(w0)))
-    stop_linf = stop_factor * linf0 if stop_factor is not None else None
-    snapshots, state, t_blowup = _drive(config, make_state((w0,)), stop_linf)
-    snapshots = [(t, fields[0]) for t, fields in snapshots]
-    peak = max(v for _, v in state.linf_history)
-    errors = {}
-    for t_snap, w in snapshots:
-        if t_snap > 0 and abs(t_snap - round(t_snap)) < 1e-9:
-            errors[t_snap] = float(np.max(np.abs(w - w0)))
-    return GaussianReport(snapshots, state.linf_history, t_blowup is not None, t_blowup,
-                          peak / linf0, errors)
+    stop_linf = stop_factor * _linf((w0,)) if stop_factor is not None else None
+    res = _drive(config, (w0,), stop_linf)
+    errors = {t: float(np.max(np.abs(w - w0))) for t, (w,) in res.snapshots
+              if t > 0 and abs(t - round(t)) < 1e-9}
+    return GaussianReport(**vars(res), errors_vs_exact=errors)

@@ -63,13 +63,17 @@ def sample_grid(n_samples: int) -> np.ndarray:
     """Uniform angles theta_j = -pi + 2 pi j / n, j = 0..n-1.
 
     For even n the grid contains theta = 0 exactly, the consistency point
-    where every symbol vanishes.
+    where every symbol vanishes: entry n/2 is set to 0.0, which rounding
+    alone misses for some n (22, 26, 30, ...).
     """
     _check_integer(n_samples, "n_samples")
     if n_samples < 8:
         raise ValueError("need at least 8 samples")
     j = np.arange(n_samples)
-    return -math.pi + 2.0 * math.pi * j / n_samples
+    th = -math.pi + 2.0 * math.pi * j / n_samples
+    if n_samples % 2 == 0:
+        th[n_samples // 2] = 0.0
+    return th
 
 
 def _check_integer(count, name: str) -> None:

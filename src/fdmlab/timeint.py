@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -111,18 +110,6 @@ class ButcherTableau:
         else:
             cf = tuple(_to_fraction(x) for x in c)
         return cls(tuple(full), bf, cf, name=name, order=order)
-
-    @cached_property
-    def a_float(self) -> np.ndarray:
-        arr = np.array([[float(x) for x in row] for row in self.a])
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def b_float(self) -> np.ndarray:
-        arr = np.array([float(x) for x in self.b])
-        arr.setflags(write=False)
-        return arr
 
 
 @dataclass(frozen=True)

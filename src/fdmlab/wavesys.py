@@ -109,7 +109,8 @@ def wave_eigs(w: WaveDiscretization, r: float, theta):
     Accepts a scalar or an array of angles and returns ``(lam1, lam2,
     jordan)`` of the same shape; ``jordan`` marks a defective (repeated,
     non-diagonalizable) block.  Every public entry point reaches the pair
-    formula through here, so this is where R is checked.
+    formula through here, so this is where R is checked, and where an R
+    whose eigenvalues overflow is refused.
     """
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"R must be finite and non-negative, got {r!r}")
@@ -123,6 +124,9 @@ def wave_eigs(w: WaveDiscretization, r: float, theta):
     trace = rb - d
     lam1 = 0.5 * (trace + sq)
     lam2 = 0.5 * (trace - sq)
+    # (R b)^2 overflows long before R itself does
+    if not (np.isfinite(lam1).all() and np.isfinite(lam2).all()):
+        raise ValueError(f"R must be finite and small enough for finite eigenvalues, got {r!r}")
     s2 = np.abs(s) ** 2
     scale = np.maximum(1.0, np.maximum(rb**2, s2))
     # A repeated eigenvalue is defective unless the block is scalar, which

@@ -351,6 +351,9 @@ def test_wave_classify_evaluates_the_spectrum_once(capsys, monkeypatch):
     ["wave-classify", "--dxx", "1", "--nu", "1e308", "--n", "16"],
     ["wave-spectrum", "--dxx", "1", "--r-value", "inf", "--samples", "16"],
     ["wave-spectrum", "--dxx", "1", "--r-value", "nan", "--samples", "16"],
+    # R is finite but (R b)^2 overflows: these printed NaN and inf rows
+    ["wave-classify", "--dxx", "1", "--nu", "1e300", "--n", "64"],
+    ["wave-spectrum", "--dxx", "1", "--r-value", "1e200", "--samples", "16"],
 ])
 def test_wave_commands_reject_non_finite_r(capsys, tmp_path, argv):
     out = tmp_path / "o"

@@ -248,13 +248,17 @@ def test_wave_mode_amplification_matches_matrix_polynomial(tableau):
 
 
 def test_advance_lands_exactly_and_records():
-    cfg = scalar_config((1, 0), 0, 0.0, 0.7, 64, t_final=1.0)
-    state, stopped = advance(make_state((gaussian_pulse(64),)), cfg, 1.0, record_every=5)
+    # 20480 steps: advance records every 20480 // 4096 = 5th step
+    dt = 0.7 / 64
+    cfg = scalar_config((1, 0), 0, 0.0, 0.7, 64, tableau="fe", t_final=20480 * dt)
+    t_final = cfg.t_final
+    state, stopped = advance(make_state((gaussian_pulse(64),)), cfg, t_final)
     assert not stopped
-    assert state.t == 1.0
+    assert state.t == t_final
     times = [t for t, _ in state.linf_history]
-    assert times[0] == 0.0 and times[-1] == 1.0
+    assert times[0] == 0.0 and times[-1] == t_final
     assert len(times) <= 2 + state.step_count // 5 + 1
+    assert state.step_count == 20480 and len(times) == 1 + 20480 // 5
 
 
 def test_advance_leaves_its_input_state_alone():
@@ -276,8 +280,7 @@ def test_advance_takes_no_sliver_step():
     # more than the 1e-12 t landing tolerance: the last step must absorb it
     cfg = scalar_config((2, 0), 0, 0.0, 0.03, 100, tableau="fe",
                         t_final=100000 * (0.03 / 100))
-    state, stopped = advance(make_state((gaussian_pulse(100),)), cfg, cfg.t_final,
-                             record_every=4096)
+    state, stopped = advance(make_state((gaussian_pulse(100),)), cfg, cfg.t_final)
     assert not stopped
     assert state.step_count == 100000
     assert state.t == cfg.t_final
@@ -323,6 +326,29 @@ def test_config_validation():
             operators=build_dx(1, 0),
             t_final=1.0,
         )
+    # a first-derivative "diffusion" term would be scaled by n, not n^2
+    for ops, kind in [((build_dx(1, 0), build_dx(2, 0)), "second-derivative"),
+                      ((build_dxx(2), None), "first-derivative")]:
+        with pytest.raises(ValueError, match=kind):
+            SimConfig(GridConfig(32, 0.1, dt=0.01), get_tableau("fe"), ops, 1.0)
+
+
+def test_initial_fields_must_match_the_config():
+    cfg = scalar_config((1, 0), 0, 0.0, 0.5, 32)
+    w = WaveDiscretization(build_dx(1, 0), build_dx(0, 1), build_dxx(1))
+    wcfg = SimConfig(GridConfig(32, 0.0, dt=0.01), get_tableau("fe"), w, 1.0)
+    u = gaussian_pulse(32)
+    for config, fields in [
+        (cfg, (gaussian_pulse(16),)),
+        (cfg, (u, u)),
+        (cfg, u),
+        (cfg, (u[:, None],)),
+        (cfg, ()),
+        (wcfg, (u,)),
+        (wcfg, (u, gaussian_pulse(31))),
+    ]:
+        with pytest.raises(ValueError, match=r"shapes \[\(32,\)"):
+            run_simulation(config, fields)
 
 
 @pytest.mark.parametrize(
@@ -474,6 +500,14 @@ def test_gaussian_experiment_early_stop():
     assert not report.blowup
     assert report.growth_factor >= 0.999
     assert report.linf_history[-1][0] < 500.0
+
+
+def test_growth_factor_is_a_result_property():
+    cfg = scalar_config((1, 0), 0, 0.0, 0.5, 32, tableau="fe", t_final=0.5)
+    res = run_simulation(cfg, (2 * gaussian_pulse(32),))
+    peak = max(v for _, v in res.linf_history)
+    assert res.linf_history[0][1] == 2.0 and res.growth_factor == peak / 2.0
+    assert math.isnan(run_simulation(cfg, (np.zeros(32),)).growth_factor)
 
 
 def test_gaussian_experiment_requires_pure_advection():

@@ -24,12 +24,14 @@ from fdmlab import (
 
 
 def test_sample_grid_layout():
-    th = sample_grid(8)
-    assert len(th) == 8
-    assert th[0] == -math.pi
-    np.testing.assert_allclose(np.diff(th), 2 * math.pi / 8)
-    assert 0.0 in th
-    assert th[-1] < math.pi
+    # rounding alone misses theta = 0 for 22, 26 and 30 samples
+    for n in (8, 22, 26, 30):
+        th = sample_grid(n)
+        assert len(th) == n
+        assert th[0] == -math.pi
+        np.testing.assert_allclose(np.diff(th), 2 * math.pi / n)
+        assert 0.0 in th
+        assert th[-1] < math.pi
     with pytest.raises(ValueError):
         sample_grid(4)
 

@@ -54,9 +54,9 @@ def test_tableau_structure():
     assert tab.stages == 4
     assert tab.c == (F(0), F(1, 2), F(1, 2), F(1))
     assert sum(tab.b) == 1
-    np.testing.assert_allclose(tab.b_float, [1 / 6, 1 / 3, 1 / 3, 1 / 6])
-    assert tab.a_float.shape == (4, 4)
-    assert np.all(np.triu(tab.a_float) == 0.0)
+    assert tab.b == (F(1, 6), F(1, 3), F(1, 3), F(1, 6))
+    assert len(tab.a) == 4 and all(len(row) == 4 for row in tab.a)
+    assert all(tab.a[i][j] == 0 for i in range(4) for j in range(i, 4))
 
 
 def test_from_rows_validation():

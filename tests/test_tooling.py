@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import fdmlab
+from fdmlab import molsim
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -24,6 +25,27 @@ def test_traced_functions_resolve():
     for mod_name, fn_name in tracer.TARGETS:
         mod = importlib.import_module(f"fdmlab.{mod_name}")
         assert callable(getattr(mod, fn_name, None)), f"fdmlab.{mod_name}.{fn_name}"
+
+
+def test_every_step_passes_through_the_traced_steppers(monkeypatch):
+    # the tracer counts molsim.step_ade and molsim.step_wave calls as the
+    # benchmark's step spans; a stepper that bypassed them would read 0
+    calls = []
+    for name in ("step_ade", "step_wave"):
+        def counting(*args, _real=getattr(molsim, name), **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(molsim, name, counting)
+    dx31, u = fdmlab.build_dx(3, 1), molsim.gaussian_pulse(32)
+    wave = fdmlab.WaveDiscretization(dx31, fdmlab.mirror(dx31), fdmlab.build_dxx(2))
+    for operators, nu, fields in (((dx31, None), 0.0, (u,)), (wave, 0.01, (u, u))):
+        config = molsim.SimConfig(fdmlab.GridConfig(32, nu, dt=0.4 / 32),
+                                  fdmlab.get_tableau("rk4"), operators, 1.0,
+                                  snapshot_times=(0.3, 0.5))
+        calls.clear()
+        res = molsim.run_simulation(config, fields)
+        assert res.final_state.step_count > 0
+        assert len(calls) == res.final_state.step_count
 
 
 def test_workload_names_resolve():

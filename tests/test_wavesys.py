@@ -145,6 +145,18 @@ def test_classify_rejects_overflowing_r(nu):
         classify_spectrum(W1, nu, 16)
 
 
+def test_eigenvalues_that_overflow_are_rejected():
+    # R itself is finite, but (R b)^2 overflows in the discriminant
+    calls = [
+        lambda: wave_eigs(W1, 1e200, 1.0),
+        lambda: sample_wave_trajectory(W1, 1e200, 16),
+        lambda: classify_spectrum(W1, 1e300, 64),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="R must be finite"):
+            call()
+
+
 SEMISTABLE_CONFIGS = [
     ((3, 1), (1, 3), 2),
     ((21, 20), (20, 21), 20),
