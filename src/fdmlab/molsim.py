@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -54,7 +54,7 @@ class BlowUpError(RuntimeError):
     within the limit, its L-inf history included.
     """
 
-    def __init__(self, time: float, limit: float, state: SimState | None = None):
+    def __init__(self, time: float, limit: float, state: SimState):
         super().__init__(f"solution exceeded {limit:g} at t = {time:g}")
         self.time = time
         self.limit = limit
@@ -169,9 +169,9 @@ class SimState:
 
     t: float
     fields: tuple[np.ndarray, ...]
-    step_count: int = 0
-    linf_history: list = field(default_factory=list)
-    last_linf: float = 0.0
+    step_count: int
+    linf_history: list
+    last_linf: float
 
 
 @dataclass
@@ -249,7 +249,15 @@ def apply_operator(op: FdOperator, u: np.ndarray) -> np.ndarray:
 
 
 def _linf(fields) -> float:
-    return max(float(np.abs(f).max()) for f in fields)
+    """Largest |value| over all fields; nan as soon as any field holds one."""
+    linf = 0.0
+    for f in fields:
+        m = float(np.abs(f).max())
+        if m != m:
+            return m
+        if m > linf:
+            linf = m
+    return linf
 
 
 def make_state(fields) -> SimState:

@@ -482,6 +482,16 @@ def test_blowup_detection():
     assert res2.blowup and res2.t_blowup < res.t_blowup
 
 
+@pytest.mark.parametrize("fields", [
+    (np.array([1.0]), np.array([np.nan])),
+    (np.array([np.nan]), np.array([1.0])),
+])
+def test_linf_is_nan_when_any_field_is(fields):
+    # the blow-up test of every step relies on this for the wave pair (v, p)
+    assert math.isnan(molsim._linf(fields))
+    assert molsim._linf((np.array([-3.0, 1.0]), np.array([2.0]))) == 3.0
+
+
 def test_gaussian_recurrence_after_one_period():
     cfg = scalar_config(
         (3, 1), 0, 0.0, 0.5, 100, tableau="lsrk3", t_final=1.0,

@@ -13,7 +13,6 @@ from fdmlab import (
     bound_constants,
     build_dx,
     build_dxx,
-    check_global_bound,
     diffusion_symbol,
     mirror,
     sample_grid,
@@ -166,13 +165,6 @@ def test_bound_constants_first_order_pair():
     assert abs(L2 - 4.0 / math.pi**2) < 1e-12
     with pytest.raises(ValueError):
         bound_constants(build_dx(1, 1), build_dxx(1))
-
-
-@pytest.mark.parametrize("r", [0.0, 0.1, 1.0, 10.0, 250.0])
-def test_global_parabola_bound(r):
-    for pair in [((1, 0), 1), ((3, 1), 2), ((21, 20), 20)]:
-        (l, rr), q = pair
-        assert check_global_bound(build_dx(l, rr), build_dxx(q), r)
 
 
 def test_semidiscrete_damping_margin():

@@ -1,6 +1,7 @@
 """Coupled wave-system blocks: eigenpairs, semistability, classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fdmlab import (
     wave_semistable_check,
     wave_symbols,
 )
+from fdmlab import wavesys
 from oracles import assert_multiset_close, dense_wave_matrix
 
 W1 = WaveDiscretization(build_dx(1, 0), build_dx(0, 1), build_dxx(1))
@@ -146,15 +148,18 @@ def test_classify_rejects_overflowing_r(nu):
 
 
 def test_eigenvalues_that_overflow_are_rejected():
-    # R itself is finite, but (R b)^2 overflows in the discriminant
+    # R itself is finite, but (R b)^2 overflows in the discriminant; the
+    # error comes without numpy warnings first
     calls = [
         lambda: wave_eigs(W1, 1e200, 1.0),
         lambda: sample_wave_trajectory(W1, 1e200, 16),
         lambda: classify_spectrum(W1, 1e300, 64),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="R must be finite"):
-            call()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="R must be finite"):
+                call()
 
 
 SEMISTABLE_CONFIGS = [
@@ -162,6 +167,9 @@ SEMISTABLE_CONFIGS = [
     ((21, 20), (20, 21), 20),
     ((3, 1), (1, 2), 2),
     ((21, 20), (10, 11), 20),
+    # E1 * F1 underflows to -0.0 at the smallest sampled angles
+    ((26, 25), (25, 26), 2),
+    ((40, 39), (39, 40), 2),
 ]
 
 
@@ -169,6 +177,21 @@ SEMISTABLE_CONFIGS = [
 @pytest.mark.parametrize("r", [0.0, 0.1, 2.0])
 def test_semistability(lm, lp, q, r):
     assert wave_semistable_check(make_wave(lm, lp, q), r)
+
+
+def test_semistability_fails_on_a_positive_real_part(monkeypatch):
+    w = make_wave((3, 1), (1, 3), 2)
+    assert wave_semistable_check(w, 0.1)
+    exact = wavesys.wave_eigs
+
+    def perturbed(w, r, theta):
+        lam1, lam2, jordan = exact(w, r, theta)
+        lam1 = lam1.copy()
+        lam1[1] = 1e-6 + 1j * lam1[1].imag
+        return lam1, lam2, jordan
+
+    monkeypatch.setattr(wavesys, "wave_eigs", perturbed)
+    assert not wave_semistable_check(w, 0.1)
 
 
 def test_semistable_sign_quantities_by_hand():
