@@ -8,11 +8,17 @@ raises BlowUpError rather than continuing into overflow.
 
 Each periodic stencil is applied as one gather: a (w, N) index array
 (j + k) mod N over the w nonzero-coefficient offsets k picks every
-neighbor at once, the rows are weighted and summed in offset order, and
-the sum is scaled by N^p.  On its first step a SimConfig builds its
+neighbor at once, the rows are multiplied by a (w, N) array of their
+weights (stored already broadcast, so the product is a same-shape
+multiply), summed in offset order, and the sum is scaled in place by
+N^p.  The scalar equation's advection gather folds the minus sign of
+-dx into that scale.  On its first step a SimConfig builds its
 ``update``: the one function that advances its fields by dt, holding a
 gather for each of its operators, the right-hand side of its system and
-the nonzero entries of its tableau.  Every later step reuses it.
+the nonzero entries of its tableau.  Its stage loop runs on plain
+arrays: the scalar field itself, or the wave pair stacked into one
+(2, N) array whose right-hand side is written row by row.  Every later
+step reuses it.
 """
 
 from __future__ import annotations
@@ -102,38 +108,52 @@ class SimConfig:
             if self.grid.nu != 0 and dxx is None:
                 raise ValueError("nonzero viscosity needs a diffusion operator")
 
-    @property
+    @cached_property
     def is_wave(self) -> bool:
         return isinstance(self.operators, WaveDiscretization)
 
     @cached_property
     def update(self):
         """``update(fields, dt) -> new fields``: one step of the tableau on
-        this config's system, built on first use.  Stage i adds dt a_ij k_j
-        and the result dt b_j k_j in ascending j, skipping float zeros."""
+        this config's system, built on first use.
+
+        One stage loop serves both systems.  It runs on one array y: the
+        scalar field itself, or the wave pair (v, p) stacked into a (2, N)
+        array on entry and handed back as its two rows.  Stage i adds
+        dt a_ij k_j and the result dt b_j k_j in ascending j, skipping
+        float zeros; each sum lands in a fresh array, so no input is
+        written.  The scalar right-hand side is -dx(w) straight from a
+        gather whose scale carries the sign; the wave right-hand side
+        writes dv = -0.5 dm + 0.5 dp (+ nu dxx v) and dp = -0.5 dm - 0.5 dp
+        into the rows of its (2, N) result in that order."""
         n, nu = self.grid.n_cells, self.grid.nu
         ops = self.operators
-        if self.is_wave:
+        wave = self.is_wave
+        if wave:
             dx_minus, dx_plus, dxx = (_gather_kernel(op, n)
                                       for op in (ops.dx_minus, ops.dx_plus, ops.dxx))
 
-            def rhs(fields):
-                v, p = fields
+            def rhs(y):
+                v, p = y
                 dm = dx_minus(v + p)
+                dm *= -0.5
                 dp = dx_plus(v - p)
-                dv = -0.5 * dm + 0.5 * dp
+                dp *= 0.5
+                k = np.empty_like(y)
+                np.add(dm, dp, out=k[0])
                 if nu != 0.0:
-                    dv = dv + nu * dxx(v)
-                return (dv, -0.5 * dm - 0.5 * dp)
+                    k[0] += nu * dxx(v)
+                np.subtract(dm, dp, out=k[1])
+                return k
         else:
-            dx, dxx = (None if op is None else _gather_kernel(op, n) for op in ops)
+            dx = _gather_kernel(ops[0], n, -1.0)
+            dxx = None if ops[1] is None else _gather_kernel(ops[1], n)
 
-            def rhs(fields):
-                (w,) = fields
-                out = -dx(w)
+            def rhs(w):
+                out = dx(w)
                 if nu != 0.0:
                     out += nu * dxx(w)
-                return (out,)
+                return out
 
         tab = self.tableau
         plan = [[(j, float(a)) for j, a in enumerate(row) if float(a) != 0.0]
@@ -141,16 +161,23 @@ class SimConfig:
         weights = [(j, float(b)) for j, b in enumerate(tab.b) if float(b) != 0.0]
 
         def update(fields, dt):
+            y = np.array(fields) if wave else fields[0]
             ks = []
             for row in plan:
-                stage = fields
+                stage = y
                 for j, aij in row:
-                    stage = tuple(sv + dt * aij * kv for sv, kv in zip(stage, ks[j]))
+                    # x + stage is stage + x bit for bit; the fresh product
+                    # x = dt a_ij k_j takes the sum in place
+                    term = dt * aij * ks[j]
+                    term += stage
+                    stage = term
                 ks.append(rhs(stage))
-            # the weights sum to 1, so at least one runs and the arrays are fresh
+            # the weights sum to 1, so at least one runs and y is fresh
             for j, bj in weights:
-                fields = tuple(fv + dt * bj * kv for fv, kv in zip(fields, ks[j]))
-            return fields
+                term = dt * bj * ks[j]
+                term += y
+                y = term
+            return (y[0], y[1]) if wave else (y,)
 
         return update
 
@@ -208,27 +235,35 @@ def gaussian_pulse(n_cells: int) -> np.ndarray:
     return np.exp(-100.0 * (x - 0.5) ** 2)
 
 
-def _gather_kernel(op: FdOperator, n: int):
-    """Periodic stencil application on length-n vectors as one gather.
+def _gather_kernel(op: FdOperator, n: int, sign: float = 1.0):
+    """Periodic stencil application on length-n vectors as one gather,
+    times ``sign`` (1.0 or -1.0).
 
     Row i of the (w, n) index array holds (j + k_i) mod n for the i-th
-    nonzero-coefficient offset k_i.  The returned function weights the
-    gathered rows and sums them one row at a time in offset order,
-    starting from +0.0, then scales by n^p: the rounding, signed zeros
-    included, is that of accumulating c_k u_{j+k} into a zero vector.
-    It expects a 1-D float or complex vector of length n.
+    nonzero-coefficient offset k_i, and row i of the (w, n) weight array
+    holds c_{k_i} in every column: the weights are broadcast once here,
+    so each call multiplies two arrays of the same shape.  The returned
+    function sums the weighted rows one at a time in offset order,
+    starting from +0.0, then scales the sum in place by sign * n^p: the
+    rounding, signed zeros included, is that of accumulating c_k u_{j+k}
+    into a zero vector, and x * (-s) is exactly -(x * s).  It expects a
+    1-D float or complex vector of length n.
     """
     if n < op.spec.width:
         raise ValueError("grid too small for the stencil")
     keep = op.coeffs_float != 0.0
     idx = (np.arange(n) + op.offsets[keep][:, None]) % n
-    coeffs = op.coeffs_float[keep][:, None]
-    scale = float(n) ** (1 if op.spec.kind is StencilKind.FIRST_DERIVATIVE else 2)
+    weights = np.repeat(op.coeffs_float[keep][:, None], n, axis=1)
+    idx.setflags(write=False)
+    weights.setflags(write=False)
+    scale = sign * float(n) ** (1 if op.spec.kind is StencilKind.FIRST_DERIVATIVE else 2)
 
     def apply(u: np.ndarray) -> np.ndarray:
         g = u[idx]
-        g *= coeffs
-        return np.add.reduce(g, axis=0, initial=0.0) * scale
+        g *= weights
+        out = np.add.reduce(g, axis=0, initial=0.0)
+        out *= scale
+        return out
 
     return apply
 
@@ -252,7 +287,7 @@ def _linf(fields) -> float:
     """Largest |value| over all fields; nan as soon as any field holds one."""
     linf = 0.0
     for f in fields:
-        m = float(np.abs(f).max())
+        m = float(np.maximum.reduce(np.abs(f)))
         if m != m:
             return m
         if m > linf:
@@ -309,6 +344,7 @@ def advance(state: SimState, config: SimConfig, t_target: float,
     dt = config.grid.dt
     cadence = max(1, round(config.t_final / dt) // 4096)
     eps = sys.float_info.epsilon
+    near = 1.5 * dt
     state = replace(state, linf_history=list(state.linf_history))
     while t_target - state.t > tol:
         rem = t_target - state.t
@@ -316,9 +352,9 @@ def advance(state: SimState, config: SimConfig, t_target: float,
         # most one half-ulp of |t| per step), so a run of exactly n steps
         # lands on t_target instead of adding a sliver step.  It is capped
         # at dt / 2 so that even a very long run never stretches its last
-        # step beyond 1.5 dt.
-        slack = min(max(1e-9 * dt, 4 * eps * state.step_count * abs(t_target)), 0.5 * dt)
-        if rem <= dt + slack:
+        # step beyond 1.5 dt; so it is only worked out once rem <= 1.5 dt.
+        if rem <= near and rem <= dt + min(
+                max(1e-9 * dt, 4 * eps * state.step_count * abs(t_target)), 0.5 * dt):
             state = step(state, config, rem)
             state.t = t_target
         else:

@@ -168,6 +168,19 @@ def sample_trajectory(dx: FdOperator | None, dxx: FdOperator | None, r: float,
     return th, ade_symbol(dx, dxx, r, th)
 
 
+def _upwind_closed_form(dx: FdOperator) -> tuple[float, int]:
+    """(amp, 2l) with Re lambda_0 = -amp sin^{2l}(theta/2), amp > 0; see
+    :func:`upwind_symbol_real_part`."""
+    _require_dx(dx)
+    if classify(dx.spec) is not StabilityClass.STABLE_UPWIND:
+        raise ValueError("closed form applies to the upwind families only")
+    l, r = dx.spec.left, dx.spec.right
+    num = (2 ** (2 * l)) * math.factorial(l) * math.factorial(r)
+    if l == r + 2:
+        num *= 2 * r + 3
+    return float(Fraction(num, math.factorial(2 * l))), 2 * l
+
+
 def upwind_symbol_real_part(dx: FdOperator, theta):
     """Closed form of Re lambda_0 for the damped (upwind) families.
 
@@ -178,17 +191,12 @@ def upwind_symbol_real_part(dx: FdOperator, theta):
 
     This form is strictly negative for theta != 0, exactly 0 at theta = 0,
     and free of the cancellation that makes the coefficient sum unusable
-    near 0.
+    near 0.  In floats the power underflows to 0 at small theta once l is
+    large (l >= 52 at theta = 2 pi/4096); a sign test reads the factors
+    from ``_upwind_closed_form`` instead.
     """
-    _require_dx(dx)
-    if classify(dx.spec) is not StabilityClass.STABLE_UPWIND:
-        raise ValueError("closed form applies to the upwind families only")
-    l, r = dx.spec.left, dx.spec.right
-    num = (2 ** (2 * l)) * math.factorial(l) * math.factorial(r)
-    if l == r + 2:
-        num *= 2 * r + 3
-    amp = float(Fraction(num, math.factorial(2 * l)))
-    return _evaluate(lambda th: -amp * np.sin(th / 2.0) ** (2 * l), theta, float)
+    amp, power = _upwind_closed_form(dx)
+    return _evaluate(lambda th: -amp * np.sin(th / 2.0) ** power, theta, float)
 
 
 def vietoris_check(q: int) -> bool:

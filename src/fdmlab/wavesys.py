@@ -36,12 +36,12 @@ import numpy as np
 from .spectrum import (
     N_SAMPLES,
     _check_n_cells,
+    _upwind_closed_form,
     advection_symbol,
     bound_constants,
     diffusion_symbol,
     grid_angles,
     sample_grid,
-    upwind_symbol_real_part,
 )
 from .stencil import FdOperator, StabilityClass, StencilKind, classify, mirror
 
@@ -169,8 +169,12 @@ def wave_semistable_check(w: WaveDiscretization, r: float) -> bool:
     Checks that the consistency pair at theta = 0 is exactly zero, that
     both eigenvalues have Re below a roundoff floor at every other sampled
     angle, and that the closed-form one-sided real parts satisfy
-    E1 > 0 > F1 there, where am = E1 + i E2 and ap = F1 + i F2.  The other
-    conditions of the semistability proof, with s = am + ap,
+    E1 > 0 > F1 there, where am = E1 + i E2 and ap = F1 + i F2.  In closed
+    form E1 = amp_m sin^{2l}(theta/2) and F1 = -amp_p sin^{2l'}(theta/2),
+    so the pair is read off the factors, amp > 0 and sin(theta/2) != 0:
+    the powers themselves underflow to 0 for l >= 52 at the smallest
+    sampled angles.  The other conditions of the semistability proof,
+    with s = am + ap,
 
         D1 = -4 (E1 - F1) < 0,
         D2 = |s|^2 - 8 E1 F1 > 0,
@@ -194,9 +198,9 @@ def wave_semistable_check(w: WaveDiscretization, r: float) -> bool:
     for lam in (lam1, lam2):
         if not np.all(lam.real[nz] < 1e-12 * (1.0 + np.abs(lam[nz]))):
             return False
-    e1 = -upwind_symbol_real_part(w.dx_minus, th[nz])
-    f1 = upwind_symbol_real_part(mirror(w.dx_plus), th[nz])
-    return bool(np.all(e1 > 0) and np.all(f1 < 0))
+    amp_m, _ = _upwind_closed_form(w.dx_minus)
+    amp_p, _ = _upwind_closed_form(mirror(w.dx_plus))
+    return bool(amp_m > 0 and amp_p > 0 and np.all(np.sin(th[nz] / 2.0) != 0))
 
 
 def _classify(w: WaveDiscretization, nu: float, n_cells: int):

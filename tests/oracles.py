@@ -4,8 +4,9 @@ Everything here recomputes quantities by a different route than the
 library: exact-rational linear solves for stencil coefficients, per-term
 exponential sums for symbols, dense circulant matrices plus a general
 eigensolver for spectra, matrix Horner evaluation for update operators,
-and a per-offset ``np.roll`` loop for periodic stencil application.  Slow
-on purpose; tests keep the sizes small.
+a per-offset ``np.roll`` loop for periodic stencil application, and the
+simulator's first array-per-stage RK update, kept as written.  Slow on
+purpose; tests keep the sizes small.
 """
 
 import cmath
@@ -14,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from fdmlab.stencil import FdOperator, StencilKind
+from fdmlab.wavesys import WaveDiscretization
 
 
 def gauss_solve(rows, rhs):
@@ -80,6 +82,66 @@ def roll_apply(op: FdOperator, u):
             acc += c * np.roll(u, -k)
     p = 1 if op.spec.kind is StencilKind.FIRST_DERIVATIVE else 2
     return acc * float(n) ** p
+
+
+def reference_update(cfg, fields, dt):
+    """One RK step of ``cfg``'s system by the simulator's earlier formula.
+
+    Each stencil is a gather ``u[idx]`` weighted by a (w, 1) column and
+    summed as ``np.add.reduce(..., initial=0.0) * n**p``; the scalar
+    right-hand side negates ``dx(w)`` in a pass of its own; and every
+    stage combination is a tuple generator over the fields.  Returns the
+    new fields as a tuple; ``SimConfig.update`` must match it bit for bit.
+    """
+    n, nu = cfg.grid.n_cells, cfg.grid.nu
+
+    def kernel(op):
+        keep = op.coeffs_float != 0.0
+        idx = (np.arange(n) + op.offsets[keep][:, None]) % n
+        coeffs = op.coeffs_float[keep][:, None]
+        scale = float(n) ** (1 if op.spec.kind is StencilKind.FIRST_DERIVATIVE else 2)
+
+        def apply(u):
+            g = u[idx]
+            g *= coeffs
+            return np.add.reduce(g, axis=0, initial=0.0) * scale
+
+        return apply
+
+    ops = cfg.operators
+    if isinstance(ops, WaveDiscretization):
+        dx_minus, dx_plus, dxx = kernel(ops.dx_minus), kernel(ops.dx_plus), kernel(ops.dxx)
+
+        def rhs(fields):
+            v, p = fields
+            dm = dx_minus(v + p)
+            dp = dx_plus(v - p)
+            dv = -0.5 * dm + 0.5 * dp
+            if nu != 0.0:
+                dv = dv + nu * dxx(v)
+            return (dv, -0.5 * dm - 0.5 * dp)
+    else:
+        dx, dxx = (None if op is None else kernel(op) for op in ops)
+
+        def rhs(fields):
+            (w,) = fields
+            out = -dx(w)
+            if nu != 0.0:
+                out += nu * dxx(w)
+            return (out,)
+
+    plan = [[(j, float(a)) for j, a in enumerate(row) if float(a) != 0.0]
+            for row in cfg.tableau.a]
+    weights = [(j, float(b)) for j, b in enumerate(cfg.tableau.b) if float(b) != 0.0]
+    ks = []
+    for row in plan:
+        stage = fields
+        for j, aij in row:
+            stage = tuple(sv + dt * aij * kv for sv, kv in zip(stage, ks[j]))
+        ks.append(rhs(stage))
+    for j, bj in weights:
+        fields = tuple(fv + dt * bj * kv for fv, kv in zip(fields, ks[j]))
+    return fields
 
 
 def direct_ade_symbol(dx, dxx, r, theta):

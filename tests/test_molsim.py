@@ -141,9 +141,9 @@ def test_config_builds_each_kernel_once(monkeypatch):
     built = []
     real = molsim._gather_kernel
 
-    def counting(op, n):
+    def counting(op, n, sign=1.0):
         built.append(op)
-        return real(op, n)
+        return real(op, n, sign)
 
     monkeypatch.setattr(molsim, "_gather_kernel", counting)
     cfg = scalar_config((3, 1), 2, 0.01, 0.4, 32, tableau="rk4")
@@ -162,6 +162,30 @@ def test_config_builds_each_kernel_once(monkeypatch):
     pure = scalar_config((2, 1), 0, 0.0, 0.4, 32, tableau="fe")
     run_simulation(pure, (gaussian_pulse(32),))
     assert built == [pure.operators[0]]
+
+
+@pytest.mark.parametrize("wave", [False, True])
+def test_steps_share_and_change_no_arrays(wave):
+    # stepping one state twice gives the same bytes, leaves the input and
+    # every earlier result alone, and no two states share any memory
+    n = 32
+    u = gaussian_pulse(n)
+    if wave:
+        w = WaveDiscretization(build_dx(3, 1), build_dx(1, 3), build_dxx(2))
+        cfg = SimConfig(GridConfig(n, 0.01, dt=0.4 / n), get_tableau("rk4"), w, 1.0)
+        step, fields = step_wave, (u, np.roll(u, 5))
+    else:
+        cfg = scalar_config((3, 1), 2, 0.01, 0.4, n)
+        step, fields = step_ade, (u,)
+    s0 = make_state(fields)
+    states = [s0, step(s0, cfg), step(s0, cfg)]
+    before = [[f.tobytes() for f in s.fields] for s in states]
+    assert before[1] == before[2]
+    states += [step(states[1], cfg), step(states[2], cfg), step(s0, cfg, 0.3 * cfg.grid.dt)]
+    assert [[f.tobytes() for f in s.fields] for s in states[:3]] == before
+    arrays = [f for s in states for f in s.fields]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
 def test_kernel_rejects_grid_narrower_than_stencil():

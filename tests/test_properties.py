@@ -46,6 +46,7 @@ from oracles import (
     dense_wave_matrix,
     direct_ade_symbol,
     matrix_poly,
+    reference_update,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
@@ -58,6 +59,7 @@ z_parts = st.floats(-4.0, 4.0)
 reynolds = st.just(0.0) | st.floats(0.0, 5.0)
 # one-sided families: upwind has left = right + 1 or right + 2
 upwind = st.builds(lambda r, gap: (r + gap, r), st.integers(0, 3), st.integers(1, 2))
+centered = st.integers(1, 4).map(lambda h: (h, h))
 
 
 @st.composite
@@ -65,6 +67,17 @@ def explicit_tableaux(draw):
     s = draw(st.integers(1, 6))
     rows = [draw(st.lists(small_rationals, min_size=i, max_size=i)) for i in range(s)]
     b = draw(st.lists(small_rationals, min_size=s - 1, max_size=s - 1))
+    return ButcherTableau.from_rows(rows, b + [1 - sum(b, Fraction(0))])
+
+
+@st.composite
+def dense_tableaux(draw):
+    """Every a_ij below the diagonal nonzero, mostly with odd denominators,
+    so that no product with them is exact by accident."""
+    s = draw(st.integers(2, 5))
+    entries = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+    rows = [draw(st.lists(entries, min_size=i, max_size=i)) for i in range(s)]
+    b = draw(st.lists(entries, min_size=s - 1, max_size=s - 1))
     return ButcherTableau.from_rows(rows, b + [1 - sum(b, Fraction(0))])
 
 
@@ -202,6 +215,52 @@ def test_one_wave_step_block_is_p_of_mu_m(tab, lm, lp, q, n, mu, nu):
                            [-(am[k] + ap[k]) / 2, -(am[k] - ap[k]) / 2]])
         _, scale = stage_amplification(tab, np.linalg.norm(m, 2))
         assert np.max(np.abs(block[k] - matrix_poly(coeffs, m))) <= 1e-11 * scale
+
+
+@st.composite
+def update_cases(draw):
+    """A scalar or wave config on a grid as wide as its stencils or a bit
+    wider, fields for it and a full or shortened step.
+
+    Each field value is a signed zero, an O(1) value, a magnitude up to
+    the default blow-up limit or a subnormal (where scaling by 1/2 before
+    or after a sum stops being exact); some cases hold signed zeros only,
+    some signed zeros and subnormals only.
+    """
+    tab = draw(st.sampled_from(BUILTIN).map(get_tableau) | explicit_tableaux()
+               | dense_tableaux())
+    nu = draw(st.just(0.0) | st.floats(0.001, 0.2))
+    if draw(st.booleans()):
+        ops = WaveDiscretization(build_dx(*draw(upwind)), mirror(build_dx(*draw(upwind))),
+                                 build_dxx(draw(st.integers(1, 3))))
+        used = (ops.dx_minus, ops.dx_plus, ops.dxx)
+    else:
+        dx, q = build_dx(*draw(upwind | centered | extents)), draw(half_widths)
+        ops = (dx, None if q is None else build_dxx(q))
+        used = [op for op in ops if op is not None]
+        nu = 0.0 if q is None else nu
+    n = draw(st.integers(0, 12)) + max(4, *(op.spec.width for op in used))
+    cfg = SimConfig(GridConfig(n, nu, dt=draw(st.floats(0.01, 1.0)) / n), tab, ops, 1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2 if cfg.is_wave else 1, n)
+    pools = [rng.choice([0.0, -0.0], shape), rng.uniform(-1.0, 1.0, shape),
+             rng.choice([-1.0, 1.0], shape) * rng.uniform(9e9, 1e10, shape),
+             rng.integers(-2**40, 2**40, shape) * 5e-324]
+    kinds = draw(st.sampled_from([(0,), (0, 3), (0, 1, 2, 3)]))
+    fields = tuple(np.choose(rng.choice(kinds, shape), pools))
+    dt = cfg.grid.dt * draw(st.just(1.0) | st.floats(0.001, 1.0))
+    return cfg, fields, dt
+
+
+@PROPERTY
+@given(update_cases())
+def test_update_is_bit_identical_to_the_reference_formula(case):
+    cfg, fields, dt = case
+    got, want = cfg.update(fields, dt), reference_update(cfg, fields, dt)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 def csv_columns(path):

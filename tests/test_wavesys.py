@@ -170,6 +170,8 @@ SEMISTABLE_CONFIGS = [
     # E1 * F1 underflows to -0.0 at the smallest sampled angles
     ((26, 25), (25, 26), 2),
     ((40, 39), (39, 40), 2),
+    # E1 = amp sin^(2l)(theta/2) itself underflows to 0.0 at |theta| = 2 pi/4096
+    *(((l, l - 1), (l - 1, l), 2) for l in range(52, 57)),
 ]
 
 
