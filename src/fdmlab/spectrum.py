@@ -18,6 +18,15 @@ the result: the real part of lambda_0 behaves like -c * theta^(2*left)
 near theta = 0, far below summation roundoff for wide stencils, so
 sign-critical paths use the closed-form sine-power expression instead of
 the coefficient sum.
+
+The symbols are evaluated over blocks of at most _CHUNK angles.  An
+advection block writes the real products k * theta into the imaginary
+half of one complex array, fills e^{i k theta} there as cos + i sin in
+place, and sums it against the coefficients with one matrix-vector
+product.  exp(+-0 + iy) is exactly cos y + i sin y, so the values are bit
+for bit those of the complex exponential, at a fraction of its cost and
+without a complex argument array.  Every evaluator refuses angles that
+are not finite.
 """
 
 from __future__ import annotations
@@ -99,9 +108,12 @@ def grid_angles(n_cells: int) -> np.ndarray:
 def _evaluate(block, theta, dtype):
     """Symbol values ``block(th)`` filled into one preallocated output,
     _CHUNK angles at a time, so (angles x width) work arrays stay bounded;
-    exactly 0 at theta = 0, and a Python scalar for a scalar angle."""
+    exactly 0 at theta = 0, and a Python scalar for a scalar angle.  NaN
+    and infinite angles raise ValueError."""
     th = np.asarray(theta, dtype=float)
     flat = th.reshape(-1)
+    if not np.isfinite(flat).all():
+        raise ValueError("angles must be finite")
     out = np.empty(flat.shape, dtype=dtype)
     for start in range(0, flat.size, _CHUNK):
         out[start : start + _CHUNK] = block(flat[start : start + _CHUNK])
@@ -112,12 +124,19 @@ def _evaluate(block, theta, dtype):
 def advection_symbol(dx: FdOperator, theta):
     """lambda_0(theta) = -sum_k a_k e^{i k theta}, exactly 0 at theta = 0.
 
-    Accepts a scalar or an array of angles.
+    Accepts a scalar or an array of angles.  Each block takes the cosines
+    and sines of the real products k * theta in place, which gives
+    e^{i k theta} bit for bit (see the module docstring).
     """
     _require_dx(dx)
+    offsets = dx.offsets.astype(float)
 
     def block(th):
-        return -(np.exp(1j * th[:, np.newaxis] * dx.offsets) @ dx.coeffs_float)
+        e = np.empty((th.size, offsets.size), dtype=complex)
+        np.multiply(th[:, np.newaxis], offsets, out=e.imag)
+        np.cos(e.imag, out=e.real)
+        np.sin(e.imag, out=e.imag)
+        return -(e @ dx.coeffs_float)
 
     return _evaluate(block, theta, complex)
 
@@ -131,7 +150,7 @@ def diffusion_symbol(dxx: FdOperator, theta):
     _require_dxx(dxx)
     q = dxx.spec.left
     b = dxx.coeffs_float
-    k = np.arange(1, q + 1)
+    k = np.arange(1, q + 1, dtype=float)
 
     def block(th):
         return b[q] + 2.0 * (np.cos(th[:, np.newaxis] * k) @ b[q + 1 :])

@@ -27,13 +27,11 @@ __all__ = [
     "StabilityPolynomial",
     "stability_polynomial",
     "eval_p",
-    "in_stability_region",
     "builtin_tableaux",
     "get_tableau",
     "tableau_from_json",
 ]
 
-REGION_SLACK = 1e-14
 _CHECK_TOL = 1e-14
 
 
@@ -144,21 +142,15 @@ def stability_polynomial(tab: ButcherTableau) -> StabilityPolynomial:
 
 
 def eval_p(p: StabilityPolynomial, z):
-    """Evaluate p at a scalar or array argument (Horner)."""
+    """Evaluate p at a scalar or array argument (Horner, in place in one
+    complex accumulator, so no temporary is allocated per coefficient)."""
     acc = np.zeros_like(np.asarray(z, dtype=complex))
     for c in reversed(p.coeffs):
-        acc = acc * z + c
+        acc *= z
+        acc += c
     if np.ndim(z) == 0:
         return complex(acc)
     return acc
-
-
-def in_stability_region(p: StabilityPolynomial, z):
-    """|p(z)| <= 1 + REGION_SLACK; the slack absorbs boundary roundoff."""
-    mod = np.abs(eval_p(p, z))
-    if np.ndim(z) == 0:
-        return bool(mod <= 1.0 + REGION_SLACK)
-    return mod <= 1.0 + REGION_SLACK
 
 
 _BUILTIN_ROWS = {

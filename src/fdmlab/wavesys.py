@@ -17,11 +17,13 @@ and both square-root branches are enumerated explicitly so no branch-cut
 choice can drop an eigenvalue.  :func:`wave_eigs` is the one place that
 evaluates this pair, at a scalar or an array of angles, and the one place
 that checks R; the sampled curve, the grid pairs, the classification and
-both checks all call it.  The semistability check takes the signs of
-the tiny real parts of the one-sided symbols from their closed forms;
-summing coefficients would bury those signs under roundoff for wide
-stencils.  The parabola-bound check tests the sampled pairs against the
-advection-diffusion bound constants of ``spectrum``.
+both checks all call it.  The semistability check tests the pairs
+against a roundoff floor only: the signs of the tiny real parts of the
+one-sided symbols follow from their closed forms for every stencil pair
+the constructor admits, and summing coefficients would bury those signs
+under roundoff for wide stencils.  The parabola-bound check tests the
+sampled pairs against the advection-diffusion bound constants of
+``spectrum``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import numpy as np
 from .spectrum import (
     N_SAMPLES,
     _check_n_cells,
-    _upwind_closed_form,
     advection_symbol,
     bound_constants,
     diffusion_symbol,
@@ -166,15 +167,17 @@ def wave_semistable_check(w: WaveDiscretization, r: float) -> bool:
     """Semistability of the wave spectrum at reciprocal cell Reynolds
     number ``r``, sampled on the N_SAMPLES-angle uniform grid.
 
-    Checks that the consistency pair at theta = 0 is exactly zero, that
+    Checks that the consistency pair at theta = 0 is exactly zero and that
     both eigenvalues have Re below a roundoff floor at every other sampled
-    angle, and that the closed-form one-sided real parts satisfy
-    E1 > 0 > F1 there, where am = E1 + i E2 and ap = F1 + i F2.  In closed
-    form E1 = amp_m sin^{2l}(theta/2) and F1 = -amp_p sin^{2l'}(theta/2),
-    so the pair is read off the factors, amp > 0 and sin(theta/2) != 0:
-    the powers themselves underflow to 0 for l >= 52 at the smallest
-    sampled angles.  The other conditions of the semistability proof,
-    with s = am + ap,
+    angle.  The one-sided real parts satisfy E1 > 0 > F1 there, where
+    am = E1 + i E2 and ap = F1 + i F2, for every valid
+    :class:`WaveDiscretization`: its constructor admits only an upwind
+    ``dx_minus`` and a downwind ``dx_plus``, whose closed forms are
+    E1 = amp_m sin^{2l}(theta/2) and F1 = -amp_p sin^{2l'}(theta/2) with
+    amp > 0 by formula, and sin(theta/2) != 0 at every nonzero sampled
+    angle in (-pi, pi).  So that sign pair is not tested; in floats the
+    powers underflow to 0 for l >= 52 at the smallest sampled angles.  The
+    other conditions of the semistability proof, with s = am + ap,
 
         D1 = -4 (E1 - F1) < 0,
         D2 = |s|^2 - 8 E1 F1 > 0,
@@ -194,13 +197,11 @@ def wave_semistable_check(w: WaveDiscretization, r: float) -> bool:
     nz = ~zero
     # noise floor, not strictness: at R = 0 the true real parts decay like
     # theta^(2l) and sit below rounding for wide stencils; the strict signs
-    # are certified by the closed-form E1 and F1 below, which do not cancel
+    # follow from the closed-form E1 and F1, which do not cancel
     for lam in (lam1, lam2):
         if not np.all(lam.real[nz] < 1e-12 * (1.0 + np.abs(lam[nz]))):
             return False
-    amp_m, _ = _upwind_closed_form(w.dx_minus)
-    amp_p, _ = _upwind_closed_form(mirror(w.dx_plus))
-    return bool(amp_m > 0 and amp_p > 0 and np.all(np.sin(th[nz] / 2.0) != 0))
+    return True
 
 
 def _classify(w: WaveDiscretization, nu: float, n_cells: int):

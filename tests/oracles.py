@@ -5,8 +5,11 @@ library: exact-rational linear solves for stencil coefficients, per-term
 exponential sums for symbols, dense circulant matrices plus a general
 eigensolver for spectra, matrix Horner evaluation for update operators,
 a per-offset ``np.roll`` loop for periodic stencil application, and the
-simulator's first array-per-stage RK update, kept as written.  Slow on
-purpose; tests keep the sizes small.
+simulator's first array-per-stage RK update, kept as written.  The
+symbol evaluators' and the polynomial's earlier formulas (complex
+exponential blocks, allocating Horner) are kept as written too, as the
+references of the bit-identity tests.  Slow on purpose; tests keep the
+sizes small.
 """
 
 import cmath
@@ -202,3 +205,58 @@ def assert_multiset_close(got, want, tol=1e-10):
         j = min(range(len(want)), key=lambda i: abs(want[i] - g))
         assert abs(want[j] - g) <= tol, f"unmatched {g} (nearest {want[j]})"
         want.pop(j)
+
+
+REFERENCE_CHUNK = 1 << 16  # angles per block, as the symbol evaluators use
+
+
+def _reference_blocks(block, theta, dtype):
+    """The symbol evaluators' block loop as it was: REFERENCE_CHUNK angles
+    at a time into one output, exactly 0 at theta = 0, and a Python scalar
+    for a scalar angle."""
+    th = np.asarray(theta, dtype=float)
+    flat = th.reshape(-1)
+    out = np.empty(flat.shape, dtype=dtype)
+    for start in range(0, flat.size, REFERENCE_CHUNK):
+        out[start : start + REFERENCE_CHUNK] = block(flat[start : start + REFERENCE_CHUNK])
+    out[flat == 0.0] = 0.0
+    return out[0].item() if th.ndim == 0 else out.reshape(th.shape)
+
+
+def reference_advection_symbol(dx, theta):
+    """lambda_0 by the earlier formula: a complex exponential per (angle,
+    offset) pair with integer offsets, then one BLAS product per block."""
+
+    def block(th):
+        return -(np.exp(1j * th[:, np.newaxis] * dx.offsets) @ dx.coeffs_float)
+
+    return _reference_blocks(block, theta, complex)
+
+
+def reference_diffusion_symbol(dxx, theta):
+    """lambda_inf by the earlier formula: cosines of integer multiples."""
+    q = dxx.spec.left
+    b = dxx.coeffs_float
+    k = np.arange(1, q + 1)
+
+    def block(th):
+        return b[q] + 2.0 * (np.cos(th[:, np.newaxis] * k) @ b[q + 1 :])
+
+    return _reference_blocks(block, theta, float)
+
+
+def reference_ade_symbol(dx, dxx, r, theta):
+    """lambda_R = lambda_0 + R lambda_inf summed as ``ade_symbol`` sums it,
+    from the two reference symbols."""
+    adv = 0j if dx is None else reference_advection_symbol(dx, theta)
+    return adv + (0.0 if dxx is None else r * reference_diffusion_symbol(dxx, theta))
+
+
+def reference_eval_p(coeffs, z):
+    """Horner evaluation that allocates a new accumulator per coefficient."""
+    acc = np.zeros_like(np.asarray(z, dtype=complex))
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    if np.ndim(z) == 0:
+        return complex(acc)
+    return acc

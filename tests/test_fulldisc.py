@@ -150,6 +150,18 @@ def test_instability_index_value():
     assert rep.instability_index == pytest.approx(math.log10(0.03**3 / 4), abs=0.05)
 
 
+def test_criterion_11_stable_run_is_spectrally_unstable():
+    # acceptance criterion 11's "stable run": lsrk3 + dx(3,1) at mu = 0.5 on
+    # 100 cells.  |p(iy)|^2 - 1 starts with +y^4/12, so rho exceeds 1 by
+    # far more than TOL_STABLE; the run passes the gate only because its
+    # 20,000 steps grow the pulse by rho^20000 = 1.115 < 2
+    grid = GridConfig(100, 0.0, 0.005)
+    rep = full_spectrum(build_dx(3, 1), None, grid, stability_polynomial(get_tableau("lsrk3")))
+    assert rep.instability_index is not None
+    assert rep.rho - 1.0 == pytest.approx(5.459e-6, rel=1e-3)
+    assert rep.rho ** round(100.0 / grid.dt) == pytest.approx(1.115, abs=1e-3)
+
+
 def test_trivial_polynomial_never_amplifies():
     one = StabilityPolynomial((1.0,))
     grid = grid_for(SweepMode.FIXED_MU, 32, 0.7, 0.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fdmlab import (
+    WaveDiscretization,
     ade_symbol,
     advection_symbol,
     asymptotic_exponent,
@@ -19,6 +20,8 @@ from fdmlab import (
     sample_trajectory,
     upwind_symbol_real_part,
     vietoris_check,
+    wave_eigs,
+    wave_symbols,
 )
 
 
@@ -188,9 +191,8 @@ def test_central_symbol_is_imaginary():
 
 
 def test_trajectory_memory_stays_bounded():
-    # One (angles x width) phase matrix for all 2^18 angles of dx(21, 20)
-    # would take 172 MB, and exp() needs a second one; blocks of 2^16
-    # angles keep the peak near 90 MB.
+    # One complex (angles x width) matrix for all 2^18 angles of dx(21, 20)
+    # would take 172 MB; blocks of 2^16 angles keep the peak near 51 MB.
     dx, dxx = build_dx(21, 20), build_dxx(20)
     tracemalloc.start()
     try:
@@ -200,3 +202,23 @@ def test_trajectory_memory_stays_bounded():
         tracemalloc.stop()
     assert lam.shape == (2**18,)
     assert peak < 150e6, peak
+
+
+_WAVE = WaveDiscretization(build_dx(3, 1), mirror(build_dx(3, 1)), build_dxx(2))
+_EVALUATORS = {
+    "advection_symbol": lambda th: advection_symbol(build_dx(3, 1), th),
+    "diffusion_symbol": lambda th: diffusion_symbol(build_dxx(2), th),
+    "ade_symbol": lambda th: ade_symbol(build_dx(3, 1), build_dxx(2), 0.5, th),
+    "upwind_symbol_real_part": lambda th: upwind_symbol_real_part(build_dx(3, 1), th),
+    "wave_symbols": lambda th: wave_symbols(_WAVE, th),
+    "wave_eigs": lambda th: wave_eigs(_WAVE, 0.5, th),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_symbols_reject_non_finite_angles(name, bad, as_array):
+    theta = np.array([0.0, 0.5, bad, -1.0]) if as_array else bad
+    with pytest.raises(ValueError, match="angles must be finite"):
+        _EVALUATORS[name](theta)

@@ -15,7 +15,6 @@ from fdmlab import (
     builtin_tableaux,
     eval_p,
     get_tableau,
-    in_stability_region,
     stability_polynomial,
     tableau_from_json,
 )
@@ -96,19 +95,23 @@ def test_eval_p_shapes():
 
 
 def test_region_membership_pinned_points():
+    # |p(z)| against 1 + 1e-14, a slack that absorbs boundary roundoff
+    def inside(p, z):
+        return np.abs(eval_p(p, z)) <= 1.0 + 1e-14
+
     fe = stability_polynomial(get_tableau("fe"))
     rk2 = stability_polynomial(get_tableau("rk2"))
     rk4 = stability_polynomial(get_tableau("rk4"))
-    assert in_stability_region(fe, -2.0)
-    assert not in_stability_region(fe, -2.1)
-    assert not in_stability_region(fe, 1e-6j)
+    assert inside(fe, -2.0)
+    assert not inside(fe, -2.1)
+    assert not inside(fe, 1e-6j)
     # real-axis footprint of the classical method ends near -2.785
-    assert in_stability_region(rk4, -2.7)
-    assert not in_stability_region(rk4, -2.9)
+    assert inside(rk4, -2.7)
+    assert not inside(rk4, -2.9)
     # |p2(i eps)|^2 = 1 + eps^4/4: above the slack at 1e-3, below at 1e-4
-    assert not in_stability_region(rk2, 1e-3j)
-    assert in_stability_region(rk2, 1e-4j)
-    mask = in_stability_region(fe, np.array([-0.5, -3.0, 0.2]))
+    assert not inside(rk2, 1e-3j)
+    assert inside(rk2, 1e-4j)
+    mask = inside(fe, np.array([-0.5, -3.0, 0.2]))
     assert list(mask) == [True, False, False]
 
 
