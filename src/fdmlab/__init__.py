@@ -1,8 +1,8 @@
 """Stability toolkit for finite-difference advection-diffusion on periodic grids.
 
 The package splits along the analysis pipeline: exact stencil construction
-(stencil), semidiscrete symbol curves and bounds (spectrum), Runge-Kutta
-stability polynomials (timeint), fully discrete spectra and step-size
+(stencil), semidiscrete symbol curves (spectrum), Runge-Kutta stability
+polynomials (timeint), fully discrete spectra and step-size
 thresholds (fulldisc), the first-order wave system (wavesys), and direct
 method-of-lines simulation (molsim).  The ``fdmlab`` console script in
 :mod:`fdmlab.cli` exposes the same pipeline as subcommands.

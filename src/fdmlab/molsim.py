@@ -41,7 +41,6 @@ __all__ = [
     "SimConfig",
     "SimState",
     "SimResult",
-    "GaussianReport",
     "gaussian_pulse",
     "apply_operator",
     "make_state",
@@ -218,17 +217,6 @@ class SimResult:
         return max(v for _, v in self.linf_history) / linf0 if linf0 else math.nan
 
 
-@dataclass
-class GaussianReport(SimResult):
-    """Pulse experiment summary.
-
-    ``errors_vs_exact`` maps integer snapshot times to the max deviation
-    from the initial pulse (the exact profile recurs at whole periods).
-    """
-
-    errors_vs_exact: dict
-
-
 def gaussian_pulse(n_cells: int) -> np.ndarray:
     """exp(-100 (x - 1/2)^2) sampled at x_j = j/n."""
     x = np.arange(n_cells) / n_cells
@@ -306,6 +294,8 @@ def make_state(fields) -> SimState:
 def _step(state: SimState, config: SimConfig, dt: float | None) -> SimState:
     if dt is None:
         dt = config.grid.dt
+    elif not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     new_fields = config.update(state.fields, dt)
     linf = _linf(new_fields)
     t = state.t + dt
@@ -337,8 +327,12 @@ def advance(state: SimState, config: SimConfig, t_target: float,
     max(1, round(t_final / dt) // 4096) so a whole run keeps about 4096
     samples, in a copy of the history: ``state`` itself is not changed.
     Returns (state, stopped_early); the flag is set when ``stop_linf`` was
-    reached first.
+    reached first.  ``t_target`` must be finite and ``stop_linf`` not NaN.
     """
+    if not math.isfinite(t_target):
+        raise ValueError(f"t_target must be finite, got {t_target!r}")
+    if stop_linf is not None and math.isnan(stop_linf):
+        raise ValueError("stop_linf must not be NaN")
     step = step_wave if config.is_wave else step_ade
     tol = 1e-12 * max(1.0, abs(t_target))
     dt = config.grid.dt
@@ -368,12 +362,15 @@ def advance(state: SimState, config: SimConfig, t_target: float,
     return state, False
 
 
-def _drive(config: SimConfig, initial_fields, stop_linf: float | None = None) -> SimResult:
+def run_simulation(config: SimConfig, initial_fields, *,
+                   stop_linf: float | None = None) -> SimResult:
     """Advance from the initial fields through the snapshot times up to t_final.
 
-    Copies the fields at every snapshot time (t = 0 included).  A blow-up
-    or reaching ``stop_linf`` ends the run early; after a blow-up
-    ``final_state`` is the last state within the limit.
+    ``initial_fields`` holds one length-N vector for the scalar equation,
+    (v, p) for the wave system.  Copies the fields at every snapshot time
+    (t = 0 included).  Reaching ``stop_linf`` ends the run early.  So does
+    a blow-up, which is reported in the result instead of propagating;
+    ``final_state`` is then the last state within the limit.
     """
     want = [(config.grid.n_cells,)] * (2 if config.is_wave else 1)
     shapes = [np.shape(f) for f in initial_fields]
@@ -396,33 +393,22 @@ def _drive(config: SimConfig, initial_fields, stop_linf: float | None = None) ->
     return SimResult(snapshots, state.linf_history, False, None, state)
 
 
-def run_simulation(config: SimConfig, initial_fields) -> SimResult:
-    """Advance through the snapshot times up to t_final.
-
-    ``initial_fields`` holds one length-N vector for the scalar equation,
-    (v, p) for the wave system.  A blow-up ends the run and is reported in
-    the result instead of propagating; ``final_state`` is then the last
-    state within the limit.
-    """
-    return _drive(config, initial_fields)
-
-
 def run_gaussian_experiment(config: SimConfig, stop_factor: float | None = None
-                            ) -> GaussianReport:
+                            ) -> SimResult:
     """Advect the pinned Gaussian pulse and track its growth.
 
     Requires a scalar config with nu = 0: the exact solution is then the
-    initial pulse again at every whole period, which grounds the error
-    entries.  ``stop_factor`` ends the run early once L-inf has grown by
-    that factor (useful when only the growth verdict matters).
+    initial pulse again at every whole period, so a snapshot taken at a
+    whole time can be compared with the pulse directly.  ``stop_factor``,
+    finite and positive, ends the run early once L-inf has grown by that
+    factor (useful when only the growth verdict matters).
     """
     if config.is_wave:
         raise ValueError("the pulse experiment is a scalar setup")
     if config.grid.nu != 0.0:
         raise ValueError("the pulse experiment requires nu = 0")
+    if stop_factor is not None and not (math.isfinite(stop_factor) and stop_factor > 0):
+        raise ValueError(f"stop_factor must be finite and positive, got {stop_factor!r}")
     w0 = gaussian_pulse(config.grid.n_cells)
     stop_linf = stop_factor * _linf((w0,)) if stop_factor is not None else None
-    res = _drive(config, (w0,), stop_linf)
-    errors = {t: float(np.max(np.abs(w - w0))) for t, (w,) in res.snapshots
-              if t > 0 and abs(t - round(t)) < 1e-9}
-    return GaussianReport(**vars(res), errors_vs_exact=errors)
+    return run_simulation(config, (w0,), stop_linf=stop_linf)

@@ -26,7 +26,7 @@ place, and sums it against the coefficients with one matrix-vector
 product.  exp(+-0 + iy) is exactly cos y + i sin y, so the values are bit
 for bit those of the complex exponential, at a fraction of its cost and
 without a complex argument array.  Every evaluator refuses angles that
-are not finite.
+are complex or not finite.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "upwind_symbol_real_part",
     "vietoris_check",
     "asymptotic_exponent",
-    "bound_constants",
 ]
 
 N_SAMPLES = 4096  # default angle count of the sampled checks and trajectories
@@ -105,11 +104,18 @@ def grid_angles(n_cells: int) -> np.ndarray:
     return th
 
 
+def _require_real(theta) -> None:
+    """Refuse complex angles, which a float cast would cut to their real part."""
+    if np.iscomplexobj(theta):
+        raise ValueError("angles must be real")
+
+
 def _evaluate(block, theta, dtype):
     """Symbol values ``block(th)`` filled into one preallocated output,
     _CHUNK angles at a time, so (angles x width) work arrays stay bounded;
-    exactly 0 at theta = 0, and a Python scalar for a scalar angle.  NaN
-    and infinite angles raise ValueError."""
+    exactly 0 at theta = 0, and a Python scalar for a scalar angle.
+    Complex, NaN and infinite angles raise ValueError."""
+    _require_real(theta)
     th = np.asarray(theta, dtype=float)
     flat = th.reshape(-1)
     if not np.isfinite(flat).all():
@@ -254,35 +260,3 @@ def asymptotic_exponent(dx: FdOperator) -> float:
     y0 = advection_symbol(dx, th).imag
     slope = np.polyfit(np.log(np.abs(y0)), np.log(-x0), 1)[0]
     return float(slope)
-
-
-def bound_constants(dx: FdOperator, dxx: FdOperator) -> tuple[float, float]:
-    """Empirical parabola constants ``(L1, L2)`` on the N_SAMPLES-angle
-    uniform grid; the symbol stays left of x = -R * (L2/L1) * y^2.
-
-    L1 = max y_0^2/theta^2 and L2 = min -lambda_inf/theta^2, both with the
-    analytic limit value 1 substituted at theta = 0.  Requires an upwind
-    advection operator so the symbol actually lies in the left half-plane.
-
-    On the samples the bound holds by construction: y_R = y_0 since
-    lambda_inf is real, y_0^2 <= L1 theta^2 and lambda_inf <= -L2 theta^2,
-    so x_R = x_0 + R lambda_inf <= x_0 - R (L2/L1) y_R^2, and x_0 <= 0 for
-    an upwind operator up to summation roundoff.  Checking it there again
-    would only test that roundoff; off the samples it is an estimate.
-    """
-    _require_dx(dx)
-    if classify(dx.spec) is not StabilityClass.STABLE_UPWIND:
-        raise ValueError("bound constants require an upwind advection operator")
-    _require_dxx(dxx)
-    th = sample_grid(N_SAMPLES)
-    y0 = advection_symbol(dx, th).imag
-    xinf = diffusion_symbol(dxx, th)
-    nz = th != 0.0
-    r1 = np.ones_like(th)
-    r1[nz] = (y0[nz] / th[nz]) ** 2
-    r2 = np.ones_like(th)
-    r2[nz] = -xinf[nz] / th[nz] ** 2
-    L2 = float(np.min(r2))
-    if L2 <= 0:
-        raise ValueError("diffusion symbol is not strictly damping on the grid")
-    return float(np.max(r1)), L2

@@ -17,13 +17,11 @@ and both square-root branches are enumerated explicitly so no branch-cut
 choice can drop an eigenvalue.  :func:`wave_eigs` is the one place that
 evaluates this pair, at a scalar or an array of angles, and the one place
 that checks R; the sampled curve, the grid pairs, the classification and
-both checks all call it.  The semistability check tests the pairs
+the semistability check all call it.  That check tests the pairs
 against a roundoff floor only: the signs of the tiny real parts of the
 one-sided symbols follow from their closed forms for every stencil pair
 the constructor admits, and summing coefficients would bury those signs
-under roundoff for wide stencils.  The parabola-bound check tests the
-sampled pairs against the advection-diffusion bound constants of
-``spectrum``.
+under roundoff for wide stencils.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ import numpy as np
 from .spectrum import (
     N_SAMPLES,
     _check_n_cells,
+    _require_real,
     advection_symbol,
-    bound_constants,
     diffusion_symbol,
     grid_angles,
     sample_grid,
@@ -55,11 +53,9 @@ __all__ = [
     "grid_eigenpairs",
     "wave_semistable_check",
     "classify_spectrum",
-    "wave_bound_check",
 ]
 
 _JORDAN_TOL = 1e-12
-BOUND_SLACK = 1e-12  # roundoff allowance of the parabola-bound check
 
 
 @dataclass(frozen=True)
@@ -116,6 +112,7 @@ def wave_eigs(w: WaveDiscretization, r: float, theta):
     """
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"R must be finite and non-negative, got {r!r}")
+    _require_real(theta)
     th = np.asarray(theta, dtype=float)
     am, ap, b = wave_symbols(w, th.reshape(-1))
     rb = r * b
@@ -225,19 +222,3 @@ def classify_spectrum(w: WaveDiscretization, nu: float, n_cells: int) -> Spectru
     spectrum onto the real axis.
     """
     return _classify(w, nu, n_cells)[0]
-
-
-def wave_bound_check(w: WaveDiscretization, r: float) -> tuple[float, bool]:
-    """Parabola bound for symmetric pairs: x <= -R * L * y^2 + BOUND_SLACK.
-
-    L is half the advection-diffusion bound constant of (dx_minus, dxx);
-    returns (L, ok) over the eigenvalue pairs sampled on the N_SAMPLES-angle
-    uniform grid.
-    """
-    if not w.symmetric:
-        raise ValueError("bound check applies to symmetric pairs")
-    L1, L2 = bound_constants(w.dx_minus, w.dxx)
-    L = L2 / (2.0 * L1)
-    lam1, lam2, _ = wave_eigs(w, r, sample_grid(N_SAMPLES))
-    lam = np.concatenate((lam1, lam2))
-    return L, bool(np.all(lam.real <= -r * L * lam.imag**2 + BOUND_SLACK))

@@ -328,6 +328,37 @@ def test_advance_stop_level():
     assert state.last_linf >= 0.1 or state.last_linf <= 0.2
 
 
+@pytest.mark.parametrize("t_target", [math.nan, math.inf, -math.inf])
+def test_advance_rejects_non_finite_target(t_target):
+    cfg = scalar_config((1, 0), 0, 0.0, 0.5, 32)
+    with pytest.raises(ValueError, match="t_target must be finite"):
+        advance(make_state((gaussian_pulse(32),)), cfg, t_target)
+
+
+def test_nan_stop_level_is_rejected():
+    # a NaN level would never be reached, so the run would silently go on
+    cfg = scalar_config((1, 0), 0, 0.0, 0.5, 32)
+    with pytest.raises(ValueError, match="stop_linf must not be NaN"):
+        advance(make_state((gaussian_pulse(32),)), cfg, 1.0, stop_linf=math.nan)
+    with pytest.raises(ValueError, match="stop_linf must not be NaN"):
+        run_simulation(cfg, (gaussian_pulse(32),), stop_linf=math.nan)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -0.01, 0.0])
+def test_explicit_dt_must_be_finite_and_positive(dt):
+    cfg = scalar_config((1, 0), 0, 0.0, 0.5, 16)
+    wcfg = SimConfig(
+        grid=GridConfig(16, 0.0, dt=0.01),
+        tableau=get_tableau("rk4"),
+        operators=WaveDiscretization(build_dx(1, 0), build_dx(0, 1), build_dxx(1)),
+        t_final=1.0,
+    )
+    u = gaussian_pulse(16)
+    for step, config, fields in ((step_ade, cfg, (u,)), (step_wave, wcfg, (u, u))):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            step(make_state(fields), config, dt)
+
+
 def test_truncated_step_dt_override():
     cfg = scalar_config((1, 0), 0, 0.0, 0.5, 32)
     state = step_ade(make_state((gaussian_pulse(32),)), cfg, dt=1e-3)
@@ -523,8 +554,10 @@ def test_gaussian_recurrence_after_one_period():
     )
     report = run_gaussian_experiment(cfg)
     assert not report.blowup
-    assert list(report.errors_vs_exact) == [1.0]
-    assert report.errors_vs_exact[1.0] < 0.05
+    # nu = 0, so the exact solution is the pulse again at t = 1
+    t, (w,) = report.snapshots[-1]
+    assert t == 1.0
+    assert np.max(np.abs(w - gaussian_pulse(100))) < 0.05
     assert report.growth_factor <= 1.01
 
 
@@ -534,6 +567,35 @@ def test_gaussian_experiment_early_stop():
     assert not report.blowup
     assert report.growth_factor >= 0.999
     assert report.linf_history[-1][0] < 500.0
+
+
+@pytest.mark.parametrize("stop_factor", [None, 10.0])
+def test_gaussian_experiment_is_run_simulation_of_the_pulse(stop_factor):
+    # fe + dx(2,0) grows: stop_factor ends the run after two snapshots,
+    # and without it the run blows up before t_final
+    cfg = scalar_config((2, 0), 0, 0.0, 0.3, 32, tableau="fe", t_final=20.0,
+                        snapshot_times=(0.5, 1.0, 5.0))
+    w0 = gaussian_pulse(32)
+    stop_linf = None if stop_factor is None else stop_factor * float(np.max(np.abs(w0)))
+    got = run_gaussian_experiment(cfg, stop_factor)
+    want = run_simulation(cfg, (w0,), stop_linf=stop_linf)
+    assert got.blowup is want.blowup is (stop_factor is None)
+    assert got.t_blowup == want.t_blowup
+    assert [t for t, _ in got.snapshots] == [t for t, _ in want.snapshots]
+    assert len(got.snapshots) == (3 if stop_factor is None else 2)
+    for (_, (a,)), (_, (b,)) in zip(got.snapshots, want.snapshots):
+        assert a.tobytes() == b.tobytes()
+    assert got.linf_history == want.linf_history
+    assert got.final_state.t == want.final_state.t
+    assert got.final_state.step_count == want.final_state.step_count
+    assert got.final_state.fields[0].tobytes() == want.final_state.fields[0].tobytes()
+
+
+@pytest.mark.parametrize("stop_factor", [math.nan, math.inf, -1.0, 0.0])
+def test_gaussian_experiment_rejects_bad_stop_factor(stop_factor):
+    cfg = scalar_config((1, 0), 0, 0.0, 0.5, 32)
+    with pytest.raises(ValueError, match="stop_factor must be finite and positive"):
+        run_gaussian_experiment(cfg, stop_factor)
 
 
 def test_growth_factor_is_a_result_property():

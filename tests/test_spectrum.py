@@ -11,7 +11,6 @@ from fdmlab import (
     ade_symbol,
     advection_symbol,
     asymptotic_exponent,
-    bound_constants,
     build_dx,
     build_dxx,
     diffusion_symbol,
@@ -161,15 +160,6 @@ def test_asymptotic_exponent_argument_forms():
         asymptotic_exponent(build_dx(2, 2))
 
 
-def test_bound_constants_first_order_pair():
-    L1, L2 = bound_constants(build_dx(1, 0), build_dxx(1))
-    # |sin theta / theta| peaks at 1; 4 sin^2(theta/2)/theta^2 bottoms at pi
-    assert abs(L1 - 1.0) < 1e-12
-    assert abs(L2 - 4.0 / math.pi**2) < 1e-12
-    with pytest.raises(ValueError):
-        bound_constants(build_dx(1, 1), build_dxx(1))
-
-
 def test_semidiscrete_damping_margin():
     # adding diffusion only moves the curve left of the advection envelope
     dx, dxx = build_dx(3, 1), build_dxx(2)
@@ -221,4 +211,13 @@ _EVALUATORS = {
 def test_symbols_reject_non_finite_angles(name, bad, as_array):
     theta = np.array([0.0, 0.5, bad, -1.0]) if as_array else bad
     with pytest.raises(ValueError, match="angles must be finite"):
+        _EVALUATORS[name](theta)
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+@pytest.mark.parametrize("as_array", [False, True])
+def test_symbols_reject_complex_angles(name, as_array):
+    # a float cast would keep only the real part: the value at 1, and 0
+    theta = np.array([1 + 1j, 0.5j]) if as_array else 1 + 1j
+    with pytest.raises(ValueError, match="angles must be real"):
         _EVALUATORS[name](theta)

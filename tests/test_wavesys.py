@@ -17,7 +17,6 @@ from fdmlab import (
     mirror,
     sample_grid,
     sample_wave_trajectory,
-    wave_bound_check,
     wave_eigs,
     wave_semistable_check,
     wave_symbols,
@@ -133,7 +132,6 @@ def test_r_must_be_finite_and_non_negative(r):
         lambda: sample_wave_trajectory(W1, r, 16),
         lambda: grid_eigenpairs(W1, r, 8),
         lambda: wave_semistable_check(W1, r),
-        lambda: wave_bound_check(W1, r),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="R must be finite and non-negative"):
@@ -236,16 +234,6 @@ def test_classification_crossover_matches_smallest_angle_rule():
             else SpectrumClass.HAS_COMPLEX
         )
         assert classify_spectrum(W1, nu, n) is want
-
-
-def test_bound_check_first_order_pair():
-    L, ok = wave_bound_check(W1, 2.0)
-    assert L == pytest.approx(2.0 / math.pi**2, rel=1e-12)
-    assert ok
-    L, ok = wave_bound_check(W1, 0.1)
-    assert ok
-    with pytest.raises(ValueError):
-        wave_bound_check(make_wave((3, 1), (1, 2), 2), 1.0)
 
 
 def test_spectrum_height_shrinks_with_damping():
