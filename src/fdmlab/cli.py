@@ -3,13 +3,18 @@
 Subcommands map onto the library modules: coeffs (stencil), trajectory
 (spectrum), tableau check (timeint), index-sweep and threshold (fulldisc),
 wave-spectrum and wave-classify (wavesys), simulate (molsim).  Output is
-CSV with a header row, comma separator, LF line endings and shortest
-round-trip floats, or small JSON objects.  File-writing runs also emit a
-run manifest JSON (command, parameters, version, outputs, duration) next
-to the outputs, and all files are written atomically (temp file plus
-rename).  Each ``cmd_*`` function yields (path or None, text) pairs;
-:func:`_run_command` sends None to stdout, writes every path as it
-arrives and then writes the one manifest.
+CSV with a header row, comma separator and LF line endings, or small JSON
+objects.  Every CSV goes through one column-wise writer: each cell is the
+shortest round-trip repr of its float (or the digits of its integer),
+formatted once per column, and a column equal in bytes to the same column
+of the command's previous file (trajectory's theta and im, simulate's x)
+reuses that file's cells.  The bytes are those of earlier versions, which
+formatted row by row.  File-writing runs also emit a run manifest JSON
+(command, parameters, version, outputs, duration) next to the outputs, and
+all files are written atomically (temp file plus rename).  Each ``cmd_*``
+function yields (path or None, text) pairs; :func:`_run_command` sends
+None to stdout, writes every path as it arrives and then writes the one
+manifest.
 
 Exit codes: 0 success, 2 usage or validation error, 3 internal invariant
 violation.
@@ -95,12 +100,39 @@ def _write_text_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _csv_text(header: str, rows) -> str:
-    """CSV with one line per row.  str() of a Python float is its shortest
-    round-trip repr, so float columns are passed as ``array.tolist()``."""
-    lines = [header]
-    lines.extend(",".join(str(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
+class _CsvWriter:
+    """CSV text built column by column; one writer serves one command.
+
+    Each column is formatted once: a numeric array as
+    ``map(str, column.tolist())``, where str of a Python float is its
+    shortest round-trip repr, and a list (exact integers beyond int64, or
+    cells already formatted) as ``map(str, column)``.  An array column whose
+    dtype and raw bytes equal those of the same column of the previous file
+    reuses that file's cells.  The key is the bytes, not ``==``, so 0.0 and
+    -0.0 stay distinct.  Only the previous file's cells are kept, so memory
+    does not grow with the number of files.
+    """
+
+    def __init__(self) -> None:
+        self._prev: dict = {}  # column index -> (key, cells) of the previous file
+
+    def text(self, header: str, *columns) -> str:
+        prev, self._prev = self._prev, {}
+        cells = []
+        for i, col in enumerate(columns):
+            if not isinstance(col, np.ndarray):
+                cells.append(list(map(str, col)))
+                continue
+            key = (col.dtype.str, col.tobytes())
+            old = prev.pop(i, None)
+            if old is not None and old[0] == key:
+                col_cells = old[1]
+            else:
+                del old  # free the replaced cells before formatting their successor
+                col_cells = list(map(str, col.tolist()))
+            self._prev[i] = (key, col_cells)
+            cells.append(col_cells)
+        return "\n".join([header, *map(",".join, zip(*cells)), ""])
 
 
 def _manifest_params(args) -> dict:
@@ -158,11 +190,10 @@ def cmd_coeffs(args):
         if len(args.extent) != 1:
             raise ValueError("coeffs dxx takes one half-width: Q")
         op = build_dxx(int(args.extent[0]))
-    rows = [
-        (k, c.numerator, c.denominator, _fmt(c))
-        for k, c in zip(range(-op.left, op.right + 1), op.coeffs)
-    ]
-    yield args.out, _csv_text("k,numerator,denominator,float", rows)
+    yield args.out, _CsvWriter().text(
+        "k,numerator,denominator,float", np.arange(-op.left, op.right + 1),
+        [c.numerator for c in op.coeffs], [c.denominator for c in op.coeffs],
+        op.coeffs_float)
 
 
 def cmd_trajectory(args):
@@ -175,14 +206,15 @@ def cmd_trajectory(args):
     r_list = parse_float_list(args.r_list)
     if any(r < 0 for r in r_list):
         raise ValueError("R values must be non-negative")
+    # theta is the same in every file, and so is im wherever R is finite
+    csv = _CsvWriter()
     for (l, r), q in configs:
         dx = build_dx(l, r)
         dxx = build_dxx(q)
         for rv in r_list:
             th, lam = spectrum.sample_trajectory(dx, dxx, rv, args.samples)
-            rows = zip(th.tolist(), lam.real.tolist(), lam.imag.tolist())
             yield (f"{args.out}dx{l}_{r}_dxx{q}_R{_fmt(rv)}.csv",
-                   _csv_text("theta,re,im", rows))
+                   csv.text("theta,re,im", th, lam.real, lam.imag))
 
 
 def cmd_tableau_check(args):
@@ -212,12 +244,11 @@ def cmd_index_sweep(args):
     tab = _resolve_tableau(args.tableau)
     n_list = parse_int_list(args.n)
     points = fulldisc.instability_curve(dx, dxx, tab, control, n_list, mode, nu=args.nu)
-    rows = [
-        (pt.n_cells, _fmt(pt.control), _fmt(pt.rho),
-         "" if pt.instability_index is None else _fmt(pt.instability_index))
-        for pt in points
-    ]
-    yield args.out, _csv_text("N,mu_or_mu_nu,rho,instability_index", rows)
+    yield args.out, _CsvWriter().text(
+        "N,mu_or_mu_nu,rho,instability_index", [pt.n_cells for pt in points],
+        [float(pt.control) for pt in points], [float(pt.rho) for pt in points],
+        ["" if pt.instability_index is None else _fmt(pt.instability_index)
+         for pt in points])
 
 
 def cmd_threshold(args):
@@ -241,9 +272,9 @@ def _wave_from_args(args) -> wavesys.WaveDiscretization:
 def cmd_wave_spectrum(args):
     w = _wave_from_args(args)
     th, lam1, lam2, jordan = wavesys.sample_wave_trajectory(w, args.r_value, args.samples)
-    rows = zip(th.tolist(), lam1.real.tolist(), lam1.imag.tolist(),
-               lam2.real.tolist(), lam2.imag.tolist(), jordan.astype(int).tolist())
-    yield args.out, _csv_text("theta,re1,im1,re2,im2,jordan", rows)
+    yield args.out, _CsvWriter().text(
+        "theta,re1,im1,re2,im2,jordan", th, lam1.real, lam1.imag,
+        lam2.real, lam2.imag, jordan.astype(int))
 
 
 def cmd_wave_classify(args):
@@ -281,10 +312,10 @@ def cmd_simulate(args):
         snapshot_times=snaps, blowup_limit=args.blowup_limit,
     )
     result = molsim.run_simulation(config, initial)
-    x = (np.arange(args.n) / args.n).tolist()
+    x = np.arange(args.n) / args.n
+    csv = _CsvWriter()  # formats x once for all snapshots
     for i, (t_snap, fields) in enumerate(result.snapshots):
-        rows = zip(x, *(f.tolist() for f in fields))
-        yield f"{args.out}snap_{i:03d}.csv", _csv_text(header, rows)
+        yield f"{args.out}snap_{i:03d}.csv", csv.text(header, x, *fields)
     summary = {
         "blowup": result.blowup,
         "snapshot_times": [t for t, _ in result.snapshots],

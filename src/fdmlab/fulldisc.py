@@ -205,15 +205,19 @@ def stable_mu_threshold(dx: FdOperator | None, dxx: FdOperator | None,
     bisects the bracket to relative width 1e-6, reported as ``tol``.  A
     scan past the crossing sets ``stable_beyond`` when stability reappears
     at larger values.  The lambda_k are computed once; each probe
-    re-evaluates only p(mu * lambda).
+    re-evaluates only p(mu * lambda), scaling into and taking moduli in
+    buffers allocated once per search.
     """
     p = _as_poly(method)
     lam = semidiscrete_eigs(dx, dxx, grid_for(mode, n_cells, _SEED, nu))
+    z = np.empty_like(lam)
+    mod = np.empty(lam.shape)
     iterations = 0
 
     def stable(control: float) -> bool:
         mu = grid_for(mode, n_cells, control, nu).mu
-        return float(np.max(np.abs(eval_p(p, mu * lam)))) - 1.0 <= TOL_STABLE
+        np.multiply(mu, lam, out=z)
+        return float(np.max(np.abs(eval_p(p, z), out=mod))) - 1.0 <= TOL_STABLE
 
     if not stable(_SEED):
         raise ThresholdNotFoundError("unstable for all tested mu")

@@ -8,8 +8,8 @@ a per-offset ``np.roll`` loop for periodic stencil application, and the
 simulator's first array-per-stage RK update, kept as written.  The
 symbol evaluators' and the polynomial's earlier formulas (complex
 exponential blocks, allocating Horner) are kept as written too, as the
-references of the bit-identity tests.  Slow on purpose; tests keep the
-sizes small.
+references of the bit-identity tests, and so is the CLI's first row-wise
+CSV formula.  Slow on purpose; tests keep the sizes small.
 """
 
 import cmath
@@ -260,3 +260,11 @@ def reference_eval_p(coeffs, z):
     if np.ndim(z) == 0:
         return complex(acc)
     return acc
+
+
+def reference_csv_text(header, rows):
+    """The CLI's first CSV formula: one line per row, str() per cell, with
+    float columns passed as ``array.tolist()``."""
+    lines = [header]
+    lines.extend(",".join(str(c) for c in row) for row in rows)
+    return "\n".join(lines) + "\n"

@@ -6,9 +6,11 @@ import math
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from fdmlab import cli, wavesys
+from oracles import reference_csv_text
 
 
 def run(capsys, *argv):
@@ -495,6 +497,64 @@ def test_custom_tableau_file_accepted(capsys, tmp_path):
     assert code == 0
     res = json.loads(out)
     assert res["mu_star"] == pytest.approx(1.0, rel=1e-2)
+
+
+# ---------------------------------------------------------- csv writer
+
+# signed zeros, infinities, nan, subnormals and values whose repr switches
+# to exponent form
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e16, 1e-5,
+           -1e-300]
+
+
+def float_column(rng, n):
+    """Special values next to drawn ones of every magnitude, element by element."""
+    pools = [rng.choice(SPECIAL, n), rng.standard_normal(n),
+             rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320, 308, n)]
+    return np.choose(rng.integers(0, len(pools), n), pools)
+
+
+def row_wise(header, columns):
+    return reference_csv_text(header, zip(*(
+        c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+
+
+@pytest.mark.parametrize("seed,n_rows", [(0, 0), (1, 1), (2, 7), (3, 2000)])
+def test_csv_writer_matches_row_wise_formula(seed, n_rows):
+    rng = np.random.default_rng(seed)
+    lam = np.empty(n_rows, dtype=complex)  # .real and .imag are strided views
+    lam.real, lam.imag = float_column(rng, n_rows), float_column(rng, n_rows)
+    ints = rng.integers(-2**62, 2**62, n_rows)  # as the k, N and jordan columns
+    exact = [int(v) * 10**30 for v in ints]  # coeffs' numerators exceed int64
+    blanks = ["" if v < 0 else repr(float(v)) for v in ints]  # index-sweep's index
+    header = "theta,re,im,k,numerator,index,jordan"
+    columns = [float_column(rng, n_rows), lam.real, lam.imag, ints, exact, blanks,
+               (ints > 0).astype(int)]
+    writer = cli._CsvWriter()
+    assert writer.text(header, *columns) == row_wise(header, columns)
+    # a second file through the same writer: kept, copied and new columns
+    columns = [columns[0].copy(), float_column(rng, n_rows), lam.imag, ints[::-1],
+               exact, blanks, np.zeros(n_rows, dtype=int)]
+    assert writer.text(header, *columns) == row_wise(header, columns)
+    if n_rows == 0:
+        assert writer.text(header, *columns) == header + "\n"
+
+
+def test_csv_writer_reuses_only_byte_equal_columns():
+    writer = cli._CsvWriter()
+    x, y, n = np.array([1.5, 0.0, -2.0]), np.array([0.25, 0.5, 0.75]), np.zeros(3, int)
+    writer.text("x,y,n", x, y, n)
+    first = [cells for _, cells in writer._prev.values()]
+    # x with one zero's sign flipped compares equal but differs in bytes,
+    # and float zeros have the bytes of int zeros but another dtype
+    flipped = x.copy()
+    flipped[1] = -0.0
+    text = writer.text("x,y,n", flipped, y.copy(), n.astype(float))
+    assert text == row_wise("x,y,n", [flipped, y, n.astype(float)])
+    assert text.splitlines()[2] == "-0.0,0.5,0.0"
+    second = [cells for _, cells in writer._prev.values()]
+    assert second[0] is not first[0] and second[2] is not first[2]
+    assert second[1] is first[1]
 
 
 # ------------------------------------------------------- output bytes

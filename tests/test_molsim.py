@@ -323,9 +323,25 @@ def test_advance_stop_level():
     state, stopped = advance(
         make_state((gaussian_pulse(32),)), cfg, 10.0, stop_linf=0.1
     )
+    # the decaying pulse starts above the level, so the first step stops it
     assert stopped
+    assert state.step_count == 1
     assert state.t < 10.0
-    assert state.last_linf >= 0.1 or state.last_linf <= 0.2
+    assert state.last_linf >= 0.1
+
+
+def test_advance_stops_a_growing_run_at_the_level():
+    # forward Euler with upwind at mu = 2 grows; the level lies above the
+    # initial peak of 1, so the run must step up to it and stop there
+    cfg = scalar_config((1, 0), 0, 0.0, 2.0, 32, tableau="fe", t_final=10.0)
+    start = make_state((gaussian_pulse(32),))
+    state, stopped = advance(start, cfg, 10.0, stop_linf=2.0)
+    assert start.last_linf < 2.0
+    assert stopped
+    assert state.step_count > 1
+    (_, before), (t_last, last) = state.linf_history[-2:]
+    assert before < 2.0 <= last
+    assert (t_last, last) == (state.t, state.last_linf)
 
 
 @pytest.mark.parametrize("t_target", [math.nan, math.inf, -math.inf])

@@ -1,5 +1,6 @@
 """The names other tooling and the README rely on exist on the package."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -7,7 +8,8 @@ import re
 from pathlib import Path
 
 import fdmlab
-from fdmlab import molsim
+from fdmlab import cli, molsim
+from test_cli import BYTE_PINS
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -96,3 +98,25 @@ def test_readme_library_tour_runs():
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def _leaf_commands(parser, path=()):
+    """(path, parser) of every runnable subcommand, e.g. ("tableau", "check")."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _leaf_commands(sub, path + (name,))
+
+
+def test_every_command_and_output_path_is_byte_pinned():
+    # a new subcommand, or a file-writing one pinned only on stdout, could
+    # change its bytes unnoticed
+    commands = list(_leaf_commands(cli.build_parser()))
+    assert ("tableau", "check") in [path for path, _ in commands]
+    for path, parser in commands:
+        runs = [argv for argv, _, _ in BYTE_PINS if tuple(argv[:len(path)]) == path]
+        assert runs, f"no byte pin runs {' '.join(path)}"
+        if any("--out" in action.option_strings for action in parser._actions):
+            assert any("--out" in argv for argv in runs), f"{' '.join(path)} --out"
