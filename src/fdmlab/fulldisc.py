@@ -7,6 +7,17 @@ The spectral radius rho decides stability, quantified by the instability
 index log10(rho - 1) whenever rho exceeds 1 + TOL_STABLE.  The lambda_R(s_k)
 do not depend on the step ratio, so a threshold search computes them once
 and re-evaluates only the polynomial p at each probe.
+
+One private helper, ``_grid_spectra``, computes every grid spectrum.  The
+angles 2 pi k / n of n cells are bit for bit every 2^j-th angle of n * 2^j
+cells (scaling by 2^j is exact), so a resolution sweep evaluates the
+advection and diffusion symbols once per chain n, 2n, 4n, ... on its
+finest grid, and each coarser grid slices them.  The slices keep their
+bits: the BLAS product of a symbol block of two or more angles gives each
+angle the same value (as measured on OpenBLAS; the bit-identity tests pin
+it), a one-angle block can only hold the angle 0, which is set to 0
+exactly anyway, and lambda_R = adv + R * dif is taken element by element
+with each grid's own R.  :func:`semidiscrete_eigs` is the one-grid case.
 """
 
 from __future__ import annotations
@@ -149,6 +160,31 @@ def grid_for(mode: SweepMode, n_cells: int, control: float, nu: float) -> GridCo
     return GridConfig(n_cells, nu, dt)
 
 
+def _grid_spectra(dx: FdOperator | None, dxx: FdOperator | None, grids):
+    """Yield lambda_R at the grid angles of each grid, in order.
+
+    The grids share nu and have n * 2^j cells for increasing j.  The
+    symbols are evaluated once, at the finest grid's angles, and each
+    coarser grid slices them (see the module docstring).  The finest grid
+    comes last, so its symbol parts are freed before the caller evaluates
+    a polynomial on its lambda_R.  R = 0 drops the diffusion term.
+    """
+    finest = grids[-1]
+    n = finest.n_cells
+    th = spectrum.grid_angles(n)
+    adv = None if dx is None else spectrum.advection_symbol(dx, th)
+    dif = None if dxx is None or finest.r == 0 else spectrum.diffusion_symbol(dxx, th)
+    del th
+    for grid in grids[:-1]:
+        step = n // grid.n_cells
+        part = slice(step - 1, None, step)
+        yield spectrum._combine(None if adv is None else adv[part],
+                                None if dif is None else dif[part], grid.r)
+    lam = spectrum._combine(adv, dif, finest.r)
+    del adv, dif
+    yield lam
+
+
 def semidiscrete_eigs(dx: FdOperator | None, dxx: FdOperator | None,
                       grid: GridConfig) -> np.ndarray:
     """h-scaled semidiscrete eigenvalues lambda_R at s_k, k = 1..n.
@@ -158,20 +194,23 @@ def semidiscrete_eigs(dx: FdOperator | None, dxx: FdOperator | None,
     entry is exactly 0 by consistency.  The symbols bound their own memory
     per block of angles.
     """
-    r = grid.r
-    th = spectrum.grid_angles(grid.n_cells)
-    return spectrum.ade_symbol(dx, None if r == 0 else dxx, r, th)
+    [lam] = _grid_spectra(dx, dxx, [grid])
+    return lam
+
+
+def _report(p: StabilityPolynomial, grid: GridConfig, lam: np.ndarray) -> SpectrumReport:
+    """Eigenvalues p(mu * lam) and their radius; ``lam`` is scaled in place."""
+    vals = eval_p(p, np.multiply(grid.mu, lam, out=lam))
+    rho = float(np.max(np.abs(vals)))
+    excess = rho - 1.0
+    index = math.log10(excess) if excess > TOL_STABLE else None
+    return SpectrumReport(vals, rho, index)
 
 
 def full_spectrum(dx: FdOperator | None, dxx: FdOperator | None, grid: GridConfig,
                   p: StabilityPolynomial) -> SpectrumReport:
     """Fully discrete eigenvalues p(mu * lambda_k) and their radius."""
-    lam = semidiscrete_eigs(dx, dxx, grid)
-    vals = eval_p(p, grid.mu * lam)
-    rho = float(np.max(np.abs(vals)))
-    excess = rho - 1.0
-    index = math.log10(excess) if excess > TOL_STABLE else None
-    return SpectrumReport(vals, rho, index)
+    return _report(p, grid, semidiscrete_eigs(dx, dxx, grid))
 
 
 def instability_curve(dx: FdOperator | None, dxx: FdOperator | None,
@@ -182,18 +221,32 @@ def instability_curve(dx: FdOperator | None, dxx: FdOperator | None,
     ``method`` is a tableau or its stability polynomial.  Entries keep the
     input order; index None marks resolutions stable at tolerance (a curve
     "breaks" where a tail of Nones begins).
+
+    Resolutions n, 2n, 4n, ... form one chain whose symbols are evaluated
+    once, on its finest grid, so "a:b" costs one symbol evaluation at b
+    cells, with the bits of one evaluation per resolution (see the module
+    docstring).  A chain holds its finest grid's symbol parts while its
+    coarser points are computed.
     """
     p = _as_poly(method)
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("resolutions must be strictly increasing")
+    chains: dict[int, list[GridConfig]] = {}
+    for n in n_list:
+        grid = grid_for(mode, n, control, nu)  # refuses n < 4 before its odd part is taken
+        chains.setdefault(n // (n & -n), []).append(grid)
 
-    # one spectrum alive at a time: each is freed when point() returns
-    def point(n: int) -> SweepPoint:
-        rep = full_spectrum(dx, dxx, grid_for(mode, n, control, nu), p)
-        return SweepPoint(n, control, rep.rho, rep.instability_index)
+    def point(lam: np.ndarray, grid: GridConfig) -> SweepPoint:
+        rep = _report(p, grid, lam)
+        return SweepPoint(grid.n_cells, control, rep.rho, rep.instability_index)
 
-    return [point(n) for n in n_list]
+    points = {}
+    for chain in chains.values():
+        spectra = _grid_spectra(dx, dxx, chain)
+        for grid in chain:
+            points[grid.n_cells] = point(next(spectra), grid)
+    return [points[n] for n in n_list]
 
 
 def stable_mu_threshold(dx: FdOperator | None, dxx: FdOperator | None,

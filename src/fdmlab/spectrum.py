@@ -11,13 +11,13 @@ the diffusion part contributes the real, even function
     lambda_inf(theta) = b_0 + 2 sum_{k>=1} b_k cos(k theta),
 
 and the combined symbol for reciprocal cell Reynolds number R is
-lambda_R = lambda_0 + R * lambda_inf, added up by :func:`ade_symbol` alone
-for the sampled curves and the grid spectra of ``fulldisc``.  Everything
-here is plain double precision except where cancellation would destroy
-the result: the real part of lambda_0 behaves like -c * theta^(2*left)
-near theta = 0, far below summation roundoff for wide stencils, so
-sign-critical paths use the closed-form sine-power expression instead of
-the coefficient sum.
+lambda_R = lambda_0 + R * lambda_inf, added up by ``_combine`` alone, for
+the sampled curves of :func:`ade_symbol` and the grid spectra of
+``fulldisc``.  Everything here is plain double precision except where
+cancellation would destroy the result: the real part of lambda_0 behaves
+like -c * theta^(2*left) near theta = 0, far below summation roundoff
+for wide stencils, so sign-critical paths use the closed-form sine-power
+expression instead of the coefficient sum.
 
 The symbols are evaluated over blocks of at most _CHUNK angles.  An
 advection block writes the real products k * theta into the imaginary
@@ -164,18 +164,28 @@ def diffusion_symbol(dxx: FdOperator, theta):
     return _evaluate(block, theta, float)
 
 
+def _combine(adv, dif, r: float):
+    """lambda_R = adv + R * dif from symbol values, for finite R >= 0.
+
+    ``adv`` and ``dif`` are advection and diffusion symbol values at the
+    same angles, or None for an absent term, not both.  The one place the
+    two parts are added, for :func:`ade_symbol` and the grid spectra.
+    """
+    if adv is None and dif is None:
+        raise ValueError("at least one active operator is required")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"R must be finite and non-negative, got {r!r}")
+    return (0j if adv is None else adv) + (0.0 if dif is None else r * dif)
+
+
 def ade_symbol(dx: FdOperator | None, dxx: FdOperator | None, r: float, theta):
     """Combined symbol lambda_R = lambda_0 + R * lambda_inf for finite R >= 0.
 
     Either operator may be None (term absent), not both.  Accepts a scalar
     or an array of angles; exactly 0 at theta = 0.
     """
-    if dx is None and dxx is None:
-        raise ValueError("at least one active operator is required")
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError(f"R must be finite and non-negative, got {r!r}")
-    adv = 0j if dx is None else advection_symbol(dx, theta)
-    return adv + (0.0 if dxx is None else r * diffusion_symbol(dxx, theta))
+    adv = None if dx is None else advection_symbol(dx, theta)
+    return _combine(adv, None if dxx is None else diffusion_symbol(dxx, theta), r)
 
 
 def sample_trajectory(dx: FdOperator | None, dxx: FdOperator | None, r: float,

@@ -142,10 +142,12 @@ def stability_polynomial(tab: ButcherTableau) -> StabilityPolynomial:
 
 
 def eval_p(p: StabilityPolynomial, z):
-    """Evaluate p at a scalar or array argument (Horner, in place in one
-    complex accumulator, so no temporary is allocated per coefficient)."""
-    acc = np.zeros_like(np.asarray(z, dtype=complex))
-    for c in reversed(p.coeffs):
+    """Evaluate p at a scalar or array argument (Horner from the leading
+    coefficient, in place in one complex accumulator, so no temporary is
+    allocated per coefficient)."""
+    *rest, lead = p.coeffs
+    acc = np.full(np.shape(z), lead, dtype=complex)
+    for c in reversed(rest):
         acc *= z
         acc += c
     if np.ndim(z) == 0:

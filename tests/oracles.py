@@ -8,8 +8,9 @@ a per-offset ``np.roll`` loop for periodic stencil application, and the
 simulator's first array-per-stage RK update, kept as written.  The
 symbol evaluators' and the polynomial's earlier formulas (complex
 exponential blocks, allocating Horner) are kept as written too, as the
-references of the bit-identity tests, and so is the CLI's first row-wise
-CSV formula.  Slow on purpose; tests keep the sizes small.
+references of the bit-identity tests, and so are the CLI's first row-wise
+CSV formula and the sweep's first loop of one full spectrum per
+resolution.  Slow on purpose; tests keep the sizes small.
 """
 
 import cmath
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from fdmlab.fulldisc import SweepPoint, full_spectrum, grid_for
 from fdmlab.stencil import FdOperator, StencilKind
 from fdmlab.wavesys import WaveDiscretization
 
@@ -260,6 +262,16 @@ def reference_eval_p(coeffs, z):
     if np.ndim(z) == 0:
         return complex(acc)
     return acc
+
+
+def reference_instability_curve(dx, dxx, p, control, n_list, mode, nu):
+    """The sweep as it was: one ``full_spectrum`` per resolution, each
+    evaluating its own symbols."""
+    points = []
+    for n in n_list:
+        rep = full_spectrum(dx, dxx, grid_for(mode, n, control, nu), p)
+        points.append(SweepPoint(n, control, rep.rho, rep.instability_index))
+    return points
 
 
 def reference_csv_text(header, rows):

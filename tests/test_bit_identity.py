@@ -1,13 +1,16 @@
 """The spectrum layer's fast paths against their earlier formulas, bit for bit.
 
-``advection_symbol`` fills its blocks from real cosines and sines and
-``eval_p`` runs Horner in place; ``tests/oracles.py`` keeps the complex
-exponential blocks and the allocating Horner loop they replaced.  Every
-symbol, grid spectrum, sampled curve and polynomial value must keep its
-bytes.  Cases come from seeded numpy generators: every first-derivative
-stencil up to dx(21, 21), every centered dxx(q) up to q = 5, grid sizes
-on both sides of the 2^16-angle block height, and all six built-in
-tableaux over step ratios from 1e-3 to 1e3.
+``advection_symbol`` fills its blocks from real cosines and sines,
+``eval_p`` runs Horner in place from the leading coefficient, and
+``instability_curve`` evaluates the symbols once per chain n, 2n, 4n, ...
+of resolutions; ``tests/oracles.py`` keeps the complex exponential
+blocks, the allocating Horner loop and the one-spectrum-per-resolution
+sweep they replaced.  Every symbol, grid spectrum, sampled curve,
+polynomial value and sweep point must keep its bytes.  Cases come from
+seeded numpy generators: every first-derivative stencil up to dx(21, 21),
+every centered dxx(q) up to q = 5, grid sizes on both sides of the
+2^16-angle block height, all six built-in tableaux over step ratios from
+1e-3 to 1e3, and nested and mixed resolution lists in both sweep modes.
 """
 
 import math
@@ -17,25 +20,45 @@ import pytest
 
 from fdmlab import (
     GridConfig,
+    SweepMode,
     ade_symbol,
     advection_symbol,
     build_dx,
     build_dxx,
     eval_p,
+    full_spectrum,
     get_tableau,
     grid_angles,
+    instability_curve,
     sample_grid,
     sample_trajectory,
     semidiscrete_eigs,
     stability_polynomial,
 )
-from oracles import reference_ade_symbol, reference_advection_symbol, reference_eval_p
+from oracles import (
+    reference_ade_symbol,
+    reference_advection_symbol,
+    reference_eval_p,
+    reference_instability_curve,
+)
 
 BUILTIN = ["fe", "rk2", "ssprk2", "rk3", "lsrk3", "rk4"]
 EXTENT = 21
 # sizes around the block height, a one-angle trailing block among them
 BLOCK_SIZES = [4, 5, 7, 8, 255, 4096, 4097, 65535, 65536, 65537, 2**17, 2**17 + 1]
 DRAWN_SIZES = sorted({int(n) for n in np.random.default_rng(11).integers(9, 2**17, 4)})
+# odd sizes, non-powers of two and 65537 among the coarse grids of the nesting test
+NESTED_SIZES = sorted({4, 5, 7, 12, 255, 4096, 65537, 2**17}
+                      | {int(n) for n in np.random.default_rng(15).integers(4, 2**17, 6)})
+TERMS = ["dx", "dxx", "both"]  # operators of the sweep cases
+SWEEP_LISTS = [
+    [2**k for k in range(2, 13)],  # one chain
+    [12, 16, 24, 32, 48, 96, 100],  # three chains; 3 * 2^j shares no bits with 2^j
+    [5, 10, 20, 40, 80, 160, 320],  # an odd base
+    [7, 14, 21, 28, 42, 56, 63, 84, 126],  # 21 = 3 * 7 and 63 start chains of their own
+    [4097, 8194, 65537, 131074],  # one-angle trailing blocks, coarse and fine
+    [1000, 2000, 3000, 4000, 5000, 6000],  # "a:b:step": chains of three, two and one
+]
 
 
 def same_bits(got, want):
@@ -111,6 +134,49 @@ def test_sample_trajectory(n):
             reference_ade_symbol(dx, dxx, r, th)
         same_bits(th, sample_grid(n))
         same_bits(lam, want)
+
+
+@pytest.mark.parametrize("n", NESTED_SIZES)
+def test_grid_angles_nest(n):
+    # the angles of n cells are every 2^j-th angle of n * 2^j cells
+    want = grid_angles(n).tobytes()
+    for j in range(5):
+        step = 2**j
+        assert grid_angles(n * step)[step - 1 :: step].tobytes() == want
+
+
+@pytest.mark.parametrize("n", [4, 255, 4097, 65537])
+def test_full_spectrum(n):
+    # lambda scaled in place and Horner from the leading coefficient
+    rng = np.random.default_rng(n)
+    for name in BUILTIN:
+        p = stability_polynomial(get_tableau(name))
+        dx, dxx, nu = random_dx(rng), random_dxx(rng), random_r(rng) / n
+        grid = GridConfig(n, nu, dt=float(rng.uniform(0.01, 2.0)) / n)
+        r = grid.r
+        lam = reference_ade_symbol(dx, None if r == 0 else dxx, r, grid_angles(n))
+        same_bits(full_spectrum(dx, dxx, grid, p).eigenvalues,
+                  reference_eval_p(p.coeffs, grid.mu * lam))
+
+
+@pytest.mark.parametrize("mode", list(SweepMode))
+@pytest.mark.parametrize("terms", TERMS)
+def test_instability_curve(terms, mode):
+    rng = np.random.default_rng([TERMS.index(terms), list(SweepMode).index(mode)])
+    fixed_mu = mode is SweepMode.FIXED_MU
+    lists = SWEEP_LISTS + [sorted({int(n) for n in rng.integers(4, 3000, 12)}
+                                  | {int(n) * 2**j for n in rng.integers(4, 300, 2)
+                                     for j in range(4)})]
+    for ns in lists:
+        name = BUILTIN[int(rng.integers(len(BUILTIN)))]
+        p = stability_polynomial(get_tableau(name))
+        dx = None if terms == "dxx" else build_dx(*(int(x) for x in rng.integers(1, 5, 2)))
+        dxx = None if terms == "dx" else build_dxx(int(rng.integers(1, 4)))
+        nu = 0.0 if fixed_mu and terms == "dx" else float(10.0 ** rng.uniform(-4, -1))
+        control = float(rng.uniform(0.05, 1.5) if fixed_mu else rng.uniform(0.05, 0.6))
+        got = instability_curve(dx, dxx, p, control, ns, mode, nu)
+        want = reference_instability_curve(dx, dxx, p, control, ns, mode, nu)
+        assert repr(got) == repr(want), (name, ns)
 
 
 @pytest.fixture(scope="module")

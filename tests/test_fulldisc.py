@@ -21,6 +21,7 @@ from fdmlab import (
     grid_for,
     instability_curve,
     semidiscrete_eigs,
+    spectrum,
     stability_polynomial,
     stable_mu_threshold,
 )
@@ -287,3 +288,19 @@ def test_threshold_computes_eigenvalues_once(monkeypatch):
     assert len(calls) == 1
     stable_mu_threshold(build_dx(1, 0), build_dxx(2), FE, 0.1, 64, SweepMode.FIXED_MU_NU)
     assert len(calls) == 2
+
+
+def test_sweep_evaluates_each_chain_once(monkeypatch):
+    angles = []
+
+    def counting(*args):
+        angles.append(np.size(args[1]))
+        return advection_symbol(*args)
+
+    monkeypatch.setattr(spectrum, "advection_symbol", counting)
+    dx = build_dx(2, 0)
+    instability_curve(dx, None, FE, 0.03, [2**k for k in range(5, 13)], SweepMode.FIXED_MU)
+    assert angles == [4096]
+    angles.clear()
+    instability_curve(dx, None, FE, 0.03, [24, 32], SweepMode.FIXED_MU)
+    assert sorted(angles) == [24, 32]  # 24 = 3 * 8 is not in the 32-cell grid
