@@ -3,10 +3,10 @@
 The semidiscrete operator is circulant, so the fully discrete update has
 eigenvalues p(mu * lambda_R(s_k)) at the grid roots of unity s_k; no dense
 matrix is ever formed (the dense route survives only as a test oracle).
-The spectral radius rho decides stability, quantified by the instability
-index log10(rho - 1) whenever rho exceeds 1 + TOL_STABLE.  The lambda_R(s_k)
-do not depend on the step ratio, so a threshold search computes them once
-and re-evaluates only the polynomial p at each probe.
+Stability is one rule, applied by ``_report`` alone: stable iff rho - 1 <=
+TOL_STABLE for the spectral radius rho, else index log10(rho - 1), so an inf
+or NaN rho is unstable.  The lambda_R(s_k) do not depend on the step ratio,
+so a threshold search computes them once and re-evaluates only p per probe.
 
 One private helper, ``_grid_spectra``, computes every grid spectrum.  The
 angles 2 pi k / n of n cells are bit for bit every 2^j-th angle of n * 2^j
@@ -99,8 +99,8 @@ class GridConfig:
 class SpectrumReport:
     """Eigenvalues of one fully discrete update plus stability summary.
 
-    ``instability_index`` is log10(rho - 1), defined only when
-    rho - 1 > TOL_STABLE; None means stable at tolerance.
+    ``instability_index`` is None (stable) iff rho - 1 <= TOL_STABLE, else
+    log10(rho - 1); an inf or NaN rho is unstable, with index inf or nan.
     """
 
     eigenvalues: np.ndarray
@@ -110,7 +110,8 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One resolution of an instability-index sweep."""
+    """One resolution of an instability-index sweep; ``instability_index``
+    is None iff rho - 1 <= TOL_STABLE, so an inf or NaN rho is unstable."""
 
     n_cells: int
     control: float
@@ -198,19 +199,22 @@ def semidiscrete_eigs(dx: FdOperator | None, dxx: FdOperator | None,
     return lam
 
 
-def _report(p: StabilityPolynomial, grid: GridConfig, lam: np.ndarray) -> SpectrumReport:
-    """Eigenvalues p(mu * lam) and their radius; ``lam`` is scaled in place."""
-    vals = eval_p(p, np.multiply(grid.mu, lam, out=lam))
-    rho = float(np.max(np.abs(vals)))
-    excess = rho - 1.0
-    index = math.log10(excess) if excess > TOL_STABLE else None
+def _report(p: StabilityPolynomial, z: np.ndarray, mod=None) -> SpectrumReport:
+    """The one verdict: p(z) on a scaled spectrum z = mu * lambda, its radius
+    and index by the module's rule; an overflowing p reads unstable, unwarned.
+    The moduli go to ``mod`` if given, a float buffer shaped like z."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = eval_p(p, z)
+        rho = float(np.max(np.abs(vals, out=mod)))
+    index = None if rho - 1.0 <= TOL_STABLE else math.log10(rho - 1.0)
     return SpectrumReport(vals, rho, index)
 
 
 def full_spectrum(dx: FdOperator | None, dxx: FdOperator | None, grid: GridConfig,
                   p: StabilityPolynomial) -> SpectrumReport:
     """Fully discrete eigenvalues p(mu * lambda_k) and their radius."""
-    return _report(p, grid, semidiscrete_eigs(dx, dxx, grid))
+    lam = semidiscrete_eigs(dx, dxx, grid)
+    return _report(p, np.multiply(grid.mu, lam, out=lam))
 
 
 def instability_curve(dx: FdOperator | None, dxx: FdOperator | None,
@@ -236,16 +240,15 @@ def instability_curve(dx: FdOperator | None, dxx: FdOperator | None,
     for n in n_list:
         grid = grid_for(mode, n, control, nu)  # refuses n < 4 before its odd part is taken
         chains.setdefault(n // (n & -n), []).append(grid)
-
-    def point(lam: np.ndarray, grid: GridConfig) -> SweepPoint:
-        rep = _report(p, grid, lam)
-        return SweepPoint(grid.n_cells, control, rep.rho, rep.instability_index)
-
     points = {}
     for chain in chains.values():
         spectra = _grid_spectra(dx, dxx, chain)
         for grid in chain:
-            points[grid.n_cells] = point(next(spectra), grid)
+            lam = next(spectra)
+            rep = _report(p, np.multiply(grid.mu, lam, out=lam))
+            points[grid.n_cells] = SweepPoint(grid.n_cells, control, rep.rho,
+                                              rep.instability_index)
+            del lam, rep  # this grid's arrays go before the next grid's are built
     return [points[n] for n in n_list]
 
 
@@ -257,9 +260,9 @@ def stable_mu_threshold(dx: FdOperator | None, dxx: FdOperator | None,
     Seeds at 1e-8, doubles until instability (giving up past 1e9), then
     bisects the bracket to relative width 1e-6, reported as ``tol``.  A
     scan past the crossing sets ``stable_beyond`` when stability reappears
-    at larger values.  The lambda_k are computed once; each probe
-    re-evaluates only p(mu * lambda), scaling into and taking moduli in
-    buffers allocated once per search.
+    at larger values.  The lambda_k are computed once; each probe reads
+    the verdict on p(mu * lambda), scaling into and taking moduli in buffers
+    allocated once per search.
     """
     p = _as_poly(method)
     lam = semidiscrete_eigs(dx, dxx, grid_for(mode, n_cells, _SEED, nu))
@@ -269,8 +272,7 @@ def stable_mu_threshold(dx: FdOperator | None, dxx: FdOperator | None,
 
     def stable(control: float) -> bool:
         mu = grid_for(mode, n_cells, control, nu).mu
-        np.multiply(mu, lam, out=z)
-        return float(np.max(np.abs(eval_p(p, z), out=mod))) - 1.0 <= TOL_STABLE
+        return _report(p, np.multiply(mu, lam, out=z), mod).instability_index is None
 
     if not stable(_SEED):
         raise ThresholdNotFoundError("unstable for all tested mu")

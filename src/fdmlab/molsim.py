@@ -284,9 +284,18 @@ def _linf(fields) -> float:
 
 
 def make_state(fields) -> SimState:
-    """Fresh state at t = 0; seeds the L-inf history there."""
+    """Fresh state at t = 0; seeds the L-inf history there.
+
+    Complex or non-finite fields raise ValueError: a float cast would keep
+    only the real part, and a NaN or inf would pass for a blow-up at the
+    first step.
+    """
+    if any(np.iscomplexobj(f) for f in fields):
+        raise ValueError("initial fields must be real")
     fields = tuple(np.asarray(f, dtype=float).copy() for f in fields)
     linf = _linf(fields)
+    if not math.isfinite(linf):
+        raise ValueError("initial fields must be finite")
     return SimState(t=0.0, fields=fields, step_count=0,
                     linf_history=[(0.0, linf)], last_linf=linf)
 

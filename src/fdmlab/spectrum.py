@@ -104,18 +104,13 @@ def grid_angles(n_cells: int) -> np.ndarray:
     return th
 
 
-def _require_real(theta) -> None:
-    """Refuse complex angles, which a float cast would cut to their real part."""
-    if np.iscomplexobj(theta):
-        raise ValueError("angles must be real")
-
-
 def _evaluate(block, theta, dtype):
     """Symbol values ``block(th)`` filled into one preallocated output,
     _CHUNK angles at a time, so (angles x width) work arrays stay bounded;
     exactly 0 at theta = 0, and a Python scalar for a scalar angle.
     Complex, NaN and infinite angles raise ValueError."""
-    _require_real(theta)
+    if np.iscomplexobj(theta):  # a float cast would keep only the real part
+        raise ValueError("angles must be real")
     th = np.asarray(theta, dtype=float)
     flat = th.reshape(-1)
     if not np.isfinite(flat).all():
@@ -164,6 +159,12 @@ def diffusion_symbol(dxx: FdOperator, theta):
     return _evaluate(block, theta, float)
 
 
+def _check_r(r) -> None:
+    """The R rule of every symbol and wave eigenvalue pair: finite, >= 0."""
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"R must be finite and non-negative, got {r!r}")
+
+
 def _combine(adv, dif, r: float):
     """lambda_R = adv + R * dif from symbol values, for finite R >= 0.
 
@@ -173,8 +174,7 @@ def _combine(adv, dif, r: float):
     """
     if adv is None and dif is None:
         raise ValueError("at least one active operator is required")
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError(f"R must be finite and non-negative, got {r!r}")
+    _check_r(r)
     return (0j if adv is None else adv) + (0.0 if dif is None else r * dif)
 
 

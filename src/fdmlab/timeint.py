@@ -46,13 +46,23 @@ def _to_fraction(x) -> Fraction:
     raise ValueError(f"tableau entry {x!r} is not a finite number or 'p/q' string")
 
 
+def _double(x: Fraction, what: str) -> float:
+    """float(x), or a ValueError naming ``what`` when x lies outside the
+    double range (a float cast would raise OverflowError)."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} lies outside the double range") from None
+
+
 @dataclass(frozen=True)
 class ButcherTableau:
     """Explicit Runge-Kutta tableau with exact rational entries.
 
     ``a`` is the full s x s stage matrix (strictly lower triangular),
     ``b`` the weights and ``c`` the abscissae.  ``order`` is the declared
-    classical order when known.
+    classical order when known.  Every entry, the weight sum and each
+    abscissa's difference from its row sum must lie in the double range.
     """
 
     a: tuple[tuple[Fraction, ...], ...]
@@ -73,12 +83,18 @@ class ButcherTableau:
             for j in range(i, s):
                 if row[j] != 0:
                     raise ValueError("stage matrix must be strictly lower triangular")
-        if abs(float(sum(self.b)) - 1.0) > _CHECK_TOL:
+        named = {f"a[{i}]": row for i, row in enumerate(self.a)}
+        named.update(b=self.b, c=self.c)
+        for name, vec in named.items():
+            for j, x in enumerate(vec):
+                _double(x, f"tableau entry {name}[{j}]")
+        if abs(_double(sum(self.b), "weight sum") - 1.0) > _CHECK_TOL:
             raise ValueError("weights must sum to 1")
         if abs(float(self.c[0])) > _CHECK_TOL:
             raise ValueError("first abscissa must be 0")
         for i in range(s):
-            if abs(float(self.c[i] - sum(self.a[i][:i]))) > _CHECK_TOL:
+            diff = _double(self.c[i] - sum(self.a[i][:i]), f"c[{i}] minus its row sum")
+            if abs(diff) > _CHECK_TOL:
                 raise ValueError("abscissae must equal stage row sums")
 
     @property
@@ -130,7 +146,8 @@ class StabilityPolynomial:
 
 
 def stability_polynomial(tab: ButcherTableau) -> StabilityPolynomial:
-    """Stability polynomial from the exact sums b . A^(k-1) 1."""
+    """Stability polynomial from the exact sums b . A^(k-1) 1; a sum outside
+    the double range raises ValueError naming its power of z."""
     coeffs = [Fraction(1)]
     v = [Fraction(1)] * tab.stages  # A^(k-1) 1
     for _ in range(tab.stages):
@@ -138,7 +155,8 @@ def stability_polynomial(tab: ButcherTableau) -> StabilityPolynomial:
         v = [sum(aij * vj for aij, vj in zip(row, v) if aij) for row in tab.a]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return StabilityPolynomial(tuple(float(c) for c in coeffs))
+    return StabilityPolynomial(tuple(
+        _double(c, f"stability polynomial coefficient of z^{k}") for k, c in enumerate(coeffs)))
 
 
 def eval_p(p: StabilityPolynomial, z):

@@ -16,17 +16,16 @@ diffusion symbol and R = nu/h.  Its eigenvalues are
 and both square-root branches are enumerated explicitly so no branch-cut
 choice can drop an eigenvalue.  :func:`wave_eigs` is the one place that
 evaluates this pair, at a scalar or an array of angles, and the one place
-that checks R; the sampled curve, the grid pairs, the classification and
-the semistability check all call it.  That check tests the pairs
-against a roundoff floor only: the signs of the tiny real parts of the
-one-sided symbols follow from their closed forms for every stencil pair
-the constructor admits, and summing coefficients would bury those signs
-under roundoff for wide stencils.
+that checks R (by the symbols' rule); the sampled curve, the grid pairs,
+the classification and the semistability check all call it.  That check
+tests the pairs against a roundoff floor only: the signs of the tiny real
+parts of the one-sided symbols follow from their closed forms for every
+stencil pair the constructor admits, and summing coefficients would bury
+those signs under roundoff for wide stencils.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -36,7 +35,7 @@ import numpy as np
 from .spectrum import (
     N_SAMPLES,
     _check_n_cells,
-    _require_real,
+    _check_r,
     advection_symbol,
     diffusion_symbol,
     grid_angles,
@@ -110,11 +109,10 @@ def wave_eigs(w: WaveDiscretization, r: float, theta):
     formula through here, so this is where R is checked, and where an R
     whose eigenvalues overflow is refused.
     """
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError(f"R must be finite and non-negative, got {r!r}")
-    _require_real(theta)
-    th = np.asarray(theta, dtype=float)
-    am, ap, b = wave_symbols(w, th.reshape(-1))
+    _check_r(r)
+    # scalars run as one-element arrays: numpy's scalar complex power can
+    # flip the sign of a zero and so swap the branches against an array's
+    am, ap, b = map(np.atleast_1d, wave_symbols(w, theta))
     rb = r * b
     s = am + ap
     d = am - ap
@@ -135,7 +133,7 @@ def wave_eigs(w: WaveDiscretization, r: float, theta):
     # at the consistency point where the whole block is exactly zero.
     zero_block = (s == 0) & (rb == 0)
     jordan = (np.abs(disc) <= _JORDAN_TOL * scale) & ~zero_block
-    return tuple(x.reshape(th.shape)[()] for x in (lam1, lam2, jordan))
+    return tuple(x.reshape(np.shape(theta))[()] for x in (lam1, lam2, jordan))
 
 
 def sample_wave_trajectory(w: WaveDiscretization, r: float, n_samples: int = N_SAMPLES):

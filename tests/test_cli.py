@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,55 @@ def test_ade_commands_reject_overflowing_r(capsys, command, control):
                          "--dxx", "1", "--nu", "1e308", "--n", "16", *control)
     assert code == 2 and out == ""
     assert "R must be finite" in err
+
+
+# Tableaux whose numbers leave the double range.  OVERFLOW_P has entries
+# that fit but stability polynomial coefficients up to 1e400, OVERFLOW_A an
+# entry of 1e400 (a float cast of either raised OverflowError, exit 3).
+# SEVEN_STAGE has p = 1 + z + 1e50 z^2 + ... + 1e300 z^7, which overflows
+# on the spectrum at mu = 1000.
+OVERFLOW_P = {"a": [[], ["1e200"], [0, "1e200"]], "b": [0, 0, 1]}
+OVERFLOW_A = {"a": [[], ["1e400"]], "b": [0, 1]}
+SEVEN_STAGE = {"a": [[]] + [[0] * i + ["1e50"] for i in range(6)], "b": [0] * 6 + [1]}
+
+
+@pytest.mark.parametrize("content,named,command", [
+    pytest.param(content, named, command, id=f"{label}-{command}")
+    for label, content, named, commands in [
+        ("p", OVERFLOW_P, "stability polynomial coefficient of z^3",
+         ("tableau", "index-sweep", "threshold")),
+        ("a", OVERFLOW_A, "tableau entry a[1][0]",
+         ("tableau", "index-sweep", "threshold", "simulate")),
+    ]
+    for command in commands
+])
+def test_tableau_beyond_the_double_range_is_a_usage_error(capsys, tmp_path, content, named,
+                                                          command):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(content))
+    argv = {
+        "tableau": ["tableau", "check", str(path)],
+        "index-sweep": ["index-sweep", "--tableau", str(path), "--dx", "1", "0",
+                        "--mu", "0.5", "--n", "32"],
+        "threshold": ["threshold", "--tableau", str(path), "--dx", "1", "0", "--n", "32"],
+        "simulate": ["simulate", "--tableau", str(path), "--dx", "1", "0", "--mu", "0.5",
+                     "--n", "32", "--t-final", "0.1", "--out", str(tmp_path / "sim_")],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {named} lies outside the double range\n"
+    assert os.listdir(tmp_path) == ["big.json"]
+
+
+def test_index_sweep_reads_an_overflowing_p_as_unstable(capsys, tmp_path):
+    path = tmp_path / "seven.json"
+    path.write_text(json.dumps(SEVEN_STAGE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "index-sweep", "--tableau", str(path), "--dx", "1", "0",
+                             "--mu", "1e3", "--n", "32:64")
+    assert code == 0 and err == ""
+    assert out == "N,mu_or_mu_nu,rho,instability_index\n32,1000.0,nan,nan\n64,1000.0,nan,nan\n"
 
 
 # ----------------------------------------------------------- threshold

@@ -1,6 +1,8 @@
 """Fully discrete spectra, instability indices, and thresholds."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fdmlab import (
     ThresholdResult,
     build_dx,
     build_dxx,
+    builtin_tableaux,
     advection_symbol,
     diffusion_symbol,
     full_spectrum,
@@ -304,3 +307,96 @@ def test_sweep_evaluates_each_chain_once(monkeypatch):
     angles.clear()
     instability_curve(dx, None, FE, 0.03, [24, 32], SweepMode.FIXED_MU)
     assert sorted(angles) == [24, 32]  # 24 = 3 * 8 is not in the 32-cell grid
+
+
+def _probe_is_stable(monkeypatch, dx, dxx, p, nu, n, mode, control):
+    """The threshold search's verdict at ``control``, from its first probe:
+    seeded there, the search stops at once exactly when it reads unstable."""
+    monkeypatch.setattr(fulldisc, "_SEED", control)
+    try:
+        stable_mu_threshold(dx, dxx, p, nu, n, mode)
+    except ThresholdNotFoundError as exc:
+        return str(exc) != "unstable for all tested mu"
+    return True
+
+
+def _verdict_cases(count=24, seed=16):
+    """Seeded cases over dx(l, r) with l <= 8 (upwind, central and downwind
+    extents); each of the six builtin tableaux comes twice in each sweep mode."""
+    rng = np.random.default_rng(seed)
+    names = sorted(builtin_tableaux())
+    for i in range(count):
+        left = int(rng.integers(1, 9))
+        right = int(rng.integers(max(0, left - 2), left + 2))
+        mode = [SweepMode.FIXED_MU, SweepMode.FIXED_MU_NU][i // len(names) % 2]
+        with_dxx = mode is SweepMode.FIXED_MU_NU or rng.random() < 0.5
+        dxx = build_dxx(int(rng.integers(1, 4))) if with_dxx else None
+        nu = float(rng.uniform(0.001, 0.1)) if with_dxx else 0.0
+        n = int(rng.choice([16, 24, 32, 64]))
+        control = float(10.0 ** rng.uniform(-3.0, 0.5))
+        p = stability_polynomial(get_tableau(names[i % len(names)]))
+        yield build_dx(left, right), dxx, p, nu, n, mode, control
+
+
+def test_verdict_paths_agree(monkeypatch):
+    # each case is probed at a drawn control and, where the search finds a
+    # crossing, at both ends of its final bracket, where rho - 1 is near
+    # TOL_STABLE
+    verdicts = set()
+    for dx, dxx, p, nu, n, mode, control in _verdict_cases():
+        controls = [control]
+        try:
+            res = stable_mu_threshold(dx, dxx, p, nu, n, mode)
+            controls += [res.mu_star, res.mu_star * (1.0 + res.tol)]
+        except ThresholdNotFoundError:
+            pass
+        for c in controls:
+            rep = full_spectrum(dx, dxx, grid_for(mode, n, c, nu), p)
+            [pt] = instability_curve(dx, dxx, p, c, [n], mode, nu)
+            with monkeypatch.context() as m:
+                probe = _probe_is_stable(m, dx, dxx, p, nu, n, mode, c)
+            stable = rep.instability_index is None
+            assert (pt.instability_index is None) == probe == stable, (dx.spec, c)
+            assert pt.rho == rep.rho
+            verdicts.add(stable)
+    assert verdicts == {True, False}
+
+
+OVERFLOWING = StabilityPolynomial((1.0, 1.0, 1e50, 1e100, 1e150, 1e200, 1e250, 1e300))
+
+
+def test_overflowing_polynomial_reads_unstable_on_every_path(monkeypatch):
+    # p(mu lambda) overflows to a NaN radius at mu = 1000, which used to read
+    # as stable with two numpy warnings
+    dx = build_dx(1, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert full_spectrum(dx, None, grid_for(SweepMode.FIXED_MU, 32, 1.0, 0.0),
+                             OVERFLOWING).instability_index == pytest.approx(302.1, abs=0.01)
+        rep = full_spectrum(dx, None, grid_for(SweepMode.FIXED_MU, 32, 1e3, 0.0), OVERFLOWING)
+        assert math.isnan(rep.rho) and math.isnan(rep.instability_index)
+        for pt in instability_curve(dx, None, OVERFLOWING, 1e3, [32, 64], SweepMode.FIXED_MU):
+            assert math.isnan(pt.rho) and math.isnan(pt.instability_index)
+        assert not _probe_is_stable(monkeypatch, dx, None, OVERFLOWING, 0.0, 32,
+                                    SweepMode.FIXED_MU, 1e3)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_peak_memory_is_that_of_its_finest_grid():
+    # each coarser grid's spectrum and eigenvalues are freed before the next
+    # grid's are built, so a chain costs no more than its finest grid alone
+    dx, n = build_dx(2, 0), 2**18
+    alone = _traced_peak(lambda: full_spectrum(dx, None, grid_for(SweepMode.FIXED_MU, n, 0.03,
+                                                                  0.0), FE))
+    chain = _traced_peak(lambda: instability_curve(dx, None, FE, 0.03,
+                                                   [2**k for k in range(5, 19)],
+                                                   SweepMode.FIXED_MU))
+    assert chain < 1.05 * alone, (chain, alone)

@@ -1,6 +1,7 @@
 """Direct time stepping against the spectral predictions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -633,3 +634,23 @@ def test_gaussian_experiment_requires_pure_advection():
     )
     with pytest.raises(ValueError):
         run_gaussian_experiment(wcfg)
+
+
+@pytest.mark.parametrize("bad,rule", [
+    (1j, "real"), (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"),
+])
+def test_initial_fields_must_be_real_and_finite(bad, rule):
+    # a float cast would run on the real part alone, and a NaN or inf would
+    # pass for a blow-up at t = dt
+    cfg = scalar_config((1, 0), 0, 0.0, 0.5, 32)
+    wcfg = SimConfig(GridConfig(32, 0.0, dt=0.01), get_tableau("fe"),
+                     WaveDiscretization(build_dx(1, 0), build_dx(0, 1), build_dxx(1)), 1.0)
+    u = gaussian_pulse(32)
+    bad_u = u * bad if bad == 1j else np.where(np.arange(32) == 5, bad, u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for config, fields in ((cfg, (bad_u,)), (wcfg, (u, bad_u))):
+            with pytest.raises(ValueError, match=f"initial fields must be {rule}"):
+                make_state(fields)
+            with pytest.raises(ValueError, match=f"initial fields must be {rule}"):
+                run_simulation(config, fields)

@@ -171,3 +171,22 @@ def test_tableau_from_json_takes_a_path_not_json_text(tmp_path, monkeypatch):
 def test_tableau_from_json_names_the_bad_entry(tmp_path, content, entry):
     with pytest.raises(ValueError, match=re.escape(entry)):
         tableau_from_json(_json_file(tmp_path, content))
+
+
+@pytest.mark.parametrize(
+    "a,b,c,named",
+    [
+        ([[], ["1e400"]], [0, 1], None, "tableau entry a[1][0]"),
+        ([[], [1]], [0, "1e400"], None, "tableau entry b[1]"),
+        ([[], [1]], ["1/2", "1/2"], [0, "1e400"], "tableau entry c[1]"),
+        ([[], [1]], ["1.5e308", "1.5e308"], None, "weight sum"),
+        ([[], ["-1e308"]], [0, 1], [0, "1e308"], "c[1] minus its row sum"),
+        ([[], ["1e200"], [0, "1e200"]], [0, 0, 1], None,
+         "stability polynomial coefficient of z^3"),
+    ],
+    ids=["entry-a", "entry-b", "entry-c", "weight-sum", "row-sum", "coefficient"],
+)
+def test_values_beyond_the_double_range_are_named(a, b, c, named):
+    # a float cast of each would raise OverflowError, not ValueError
+    with pytest.raises(ValueError, match=re.escape(f"{named} lies outside the double range")):
+        stability_polynomial(ButcherTableau.from_rows(a, b, c))

@@ -275,3 +275,16 @@ def test_mirror_pair_agrees_with_sample_grid_symmetry():
             [b1.conjugate(), b2.conjugate()],
             tol=1e-12,
         )
+
+
+def test_scalar_angle_gives_the_bits_of_a_one_angle_array():
+    # at R = 0 a negative diffusion symbol makes R b = -0.0; numpy's scalar
+    # complex power squares that to +0j, its array power to -0j, and the
+    # sign of that zero picks the square-root branch of each pair
+    for w in (W1, make_wave((3, 1), (1, 3), 2), make_wave((2, 1), (1, 3), 1)):
+        for r in (0.0, 0.7):
+            for theta in np.linspace(-3.0, 3.0, 61):
+                got = wave_eigs(w, r, float(theta))
+                want = wave_eigs(w, r, np.array([theta]))
+                for x, y in zip(got, want):
+                    assert np.asarray(x).tobytes() == y.tobytes()
