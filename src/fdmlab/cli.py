@@ -16,8 +16,13 @@ function yields (path or None, text) pairs; :func:`_run_command` sends
 None to stdout, writes every path as it arrives and then writes the one
 manifest.
 
-Exit codes: 0 success, 2 usage or validation error, 3 internal invariant
-violation.
+Each flag is declared once.  Subcommands that share flags take them from
+four parent parsers: ``ade`` carries --dx and --dxx (trajectory); ``run``
+adds --tableau and --nu (simulate); ``spectral`` adds --mode and --out
+(index-sweep, threshold); ``wave`` carries --dx-minus, --dx-plus and --dxx
+(wave-spectrum, wave-classify).
+
+Exit codes: 0 success, 2 usage or validation error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -50,28 +55,20 @@ def _fmt(x) -> str:
 def parse_int_list(text: str) -> list[int]:
     """Resolutions: "a:b" (inclusive, powers-of-two steps), "a:b:step",
     a comma list, or a single integer."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) == 2:
-            a, b = int(parts[0]), int(parts[1])
-            if a <= 0 or b < a:
-                raise ValueError(f"bad range {text!r}")
-            vals = []
-            v = a
-            while v <= b:
-                vals.append(v)
-                v *= 2
-            return vals
-        if len(parts) == 3:
-            a, b, s = (int(p) for p in parts)
-            if a <= 0 or b < a or s <= 0:
-                raise ValueError(f"bad range {text!r}")
-            return list(range(a, b + 1, s))
+    parts = text.split(":")
+    if len(parts) == 1:
+        vals = [int(p) for p in text.split(",") if p]
+        if not vals:
+            raise ValueError("empty list")
+        return vals
+    if len(parts) > 3:
         raise ValueError(f"bad range {text!r}")
-    vals = [int(p) for p in text.split(",") if p]
-    if not vals:
-        raise ValueError("empty list")
-    return vals
+    a, b, *step = map(int, parts)
+    if a <= 0 or b < a or (step and step[0] <= 0):
+        raise ValueError(f"bad range {text!r}")
+    if step:
+        return list(range(a, b + 1, step[0]))
+    return [a << k for k in range((b // a).bit_length())]
 
 
 def parse_float_list(text: str) -> list[float]:
@@ -177,19 +174,21 @@ def _resolve_tableau(spec_str: str) -> timeint.ButcherTableau:
         raise
 
 
-def _dx_arg(pair) -> FdOperator:
-    return build_dx(int(pair[0]), int(pair[1]))
+def _ade_operators(args) -> tuple[FdOperator | None, FdOperator | None]:
+    """(dx, dxx) from --dx and --dxx; None for an operator not given."""
+    return (build_dx(*args.dx) if args.dx else None,
+            build_dxx(args.dxx) if args.dxx is not None else None)
 
 
 def cmd_coeffs(args):
     if args.kind == "dx":
         if len(args.extent) != 2:
             raise ValueError("coeffs dx takes two extents: L R")
-        op = _dx_arg(args.extent)
+        op = build_dx(*args.extent)
     else:
         if len(args.extent) != 1:
             raise ValueError("coeffs dxx takes one half-width: Q")
-        op = build_dxx(int(args.extent[0]))
+        op = build_dxx(*args.extent)
     yield args.out, _CsvWriter().text(
         "k,numerator,denominator,float", np.arange(-op.left, op.right + 1),
         [c.numerator for c in op.coeffs], [c.denominator for c in op.coeffs],
@@ -199,10 +198,7 @@ def cmd_coeffs(args):
 def cmd_trajectory(args):
     if (args.dx is None) != (args.dxx is None):
         raise ValueError("give both --dx and --dxx or neither")
-    if args.dx is not None:
-        configs = [((int(args.dx[0]), int(args.dx[1])), int(args.dxx))]
-    else:
-        configs = list(DEFAULT_TRAJECTORY_CONFIGS)
+    configs = [(args.dx, args.dxx)] if args.dx is not None else DEFAULT_TRAJECTORY_CONFIGS
     r_list = parse_float_list(args.r_list)
     if any(r < 0 for r in r_list):
         raise ValueError("R values must be non-negative")
@@ -231,16 +227,11 @@ def cmd_tableau_check(args):
 
 def cmd_index_sweep(args):
     mode = fulldisc.SweepMode(args.mode)
-    if mode is fulldisc.SweepMode.FIXED_MU:
-        if args.mu is None:
-            raise ValueError("fixed-mu sweep needs --mu")
-        control = args.mu
-    else:
-        if args.mu_nu is None:
-            raise ValueError("fixed-mu-nu sweep needs --mu-nu")
-        control = args.mu_nu
-    dx = _dx_arg(args.dx) if args.dx else None
-    dxx = build_dxx(args.dxx) if args.dxx is not None else None
+    flag, control = (("--mu", args.mu) if mode is fulldisc.SweepMode.FIXED_MU
+                     else ("--mu-nu", args.mu_nu))
+    if control is None:
+        raise ValueError(f"{mode.value} sweep needs {flag}")
+    dx, dxx = _ade_operators(args)
     tab = _resolve_tableau(args.tableau)
     n_list = parse_int_list(args.n)
     points = fulldisc.instability_curve(dx, dxx, tab, control, n_list, mode, nu=args.nu)
@@ -252,11 +243,10 @@ def cmd_index_sweep(args):
 
 
 def cmd_threshold(args):
-    mode = fulldisc.SweepMode(args.mode)
-    dx = _dx_arg(args.dx) if args.dx else None
-    dxx = build_dxx(args.dxx) if args.dxx is not None else None
+    dx, dxx = _ade_operators(args)
     tab = _resolve_tableau(args.tableau)
-    res = fulldisc.stable_mu_threshold(dx, dxx, tab, args.nu, args.n, mode)
+    res = fulldisc.stable_mu_threshold(dx, dxx, tab, args.nu, args.n,
+                                       fulldisc.SweepMode(args.mode))
     yield args.out, json.dumps(
         {"mu_star": res.mu_star, "iterations": res.iterations, "tol": res.tol},
         sort_keys=True,
@@ -264,8 +254,8 @@ def cmd_threshold(args):
 
 
 def _wave_from_args(args) -> wavesys.WaveDiscretization:
-    dx_minus = _dx_arg(args.dx_minus)
-    dx_plus = _dx_arg(args.dx_plus) if args.dx_plus else mirror(dx_minus)
+    dx_minus = build_dx(*args.dx_minus)
+    dx_plus = build_dx(*args.dx_plus) if args.dx_plus else mirror(dx_minus)
     return wavesys.WaveDiscretization(dx_minus, dx_plus, build_dxx(args.dxx))
 
 
@@ -293,19 +283,18 @@ def cmd_simulate(args):
         snaps = tuple(parse_float_list(args.snapshot_times))
     else:
         snaps = tuple(args.t_final * f for f in (0.25, 0.5, 1.0))
+    pulse = molsim.gaussian_pulse(args.n)
     if args.system == "wave":
         if not args.dx_minus or args.dxx is None:
             raise ValueError("wave simulate needs --dx-minus and --dxx")
         operators = _wave_from_args(args)
-        pulse = molsim.gaussian_pulse(args.n)
-        initial = (pulse, pulse.copy())
+        initial = (pulse,) * 2  # make_state copies each field
         header = "x,v,p"
     else:
         if not args.dx:
             raise ValueError("scalar simulate needs --dx")
-        dxx = build_dxx(args.dxx) if args.dxx is not None else None
-        operators = (_dx_arg(args.dx), dxx)
-        initial = (molsim.gaussian_pulse(args.n),)
+        operators = _ade_operators(args)
+        initial = (pulse,)
         header = "x,w"
     config = molsim.SimConfig(
         grid=grid, tableau=tab, operators=operators, t_final=args.t_final,
@@ -326,17 +315,21 @@ def cmd_simulate(args):
     yield f"{args.out}summary.json", json.dumps(summary, sort_keys=True) + "\n"
 
 
-def _add_dx_flags(p, minus_plus: bool = False) -> None:
-    if minus_plus:
-        p.add_argument("--dx-minus", nargs=2, type=int, metavar=("L", "R"), required=True)
-        p.add_argument("--dx-plus", nargs=2, type=int, metavar=("L", "R"))
-        p.add_argument("--dxx", type=int, metavar="Q", required=True)
-    else:
-        p.add_argument("--dx", nargs=2, type=int, metavar=("L", "R"))
-        p.add_argument("--dxx", type=int, metavar="Q")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    ade = argparse.ArgumentParser(add_help=False)
+    ade.add_argument("--dx", nargs=2, type=int, metavar=("L", "R"))
+    ade.add_argument("--dxx", type=int, metavar="Q")
+    run = argparse.ArgumentParser(add_help=False, parents=[ade])
+    run.add_argument("--tableau", required=True)
+    run.add_argument("--nu", type=float, default=0.0)
+    spectral = argparse.ArgumentParser(add_help=False, parents=[run])
+    spectral.add_argument("--mode", choices=("fixed-mu", "fixed-mu-nu"), default="fixed-mu")
+    spectral.add_argument("--out")
+    wave = argparse.ArgumentParser(add_help=False)
+    wave.add_argument("--dx-minus", nargs=2, type=int, metavar=("L", "R"), required=True)
+    wave.add_argument("--dx-plus", nargs=2, type=int, metavar=("L", "R"))
+    wave.add_argument("--dxx", type=int, metavar="Q", required=True)
+
     parser = argparse.ArgumentParser(
         prog="fdmlab",
         description="finite-difference stability toolkit for periodic advection-diffusion",
@@ -350,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_coeffs)
 
-    p = sub.add_parser("trajectory", help="symbol curve samples, one CSV per R")
-    _add_dx_flags(p)
+    p = sub.add_parser("trajectory", parents=[ade], help="symbol curve samples, one CSV per R")
     p.add_argument("--r-list", default=DEFAULT_R_LIST)
     p.add_argument("--samples", type=int, default=spectrum.N_SAMPLES)
     p.add_argument("--out", default="trajectory_")
@@ -363,53 +355,39 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("file")
     pc.set_defaults(func=cmd_tableau_check)
 
-    p = sub.add_parser("index-sweep", help="instability index against resolution")
-    p.add_argument("--tableau", required=True)
-    _add_dx_flags(p)
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--mode", choices=("fixed-mu", "fixed-mu-nu"), default="fixed-mu")
+    p = sub.add_parser("index-sweep", parents=[spectral],
+                       help="instability index against resolution")
     p.add_argument("--mu", type=float)
-    p.add_argument("--mu-nu", dest="mu_nu", type=float)
+    p.add_argument("--mu-nu", type=float)
     p.add_argument("--n", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_index_sweep)
 
-    p = sub.add_parser("threshold", help="first stable-to-unstable crossing")
-    p.add_argument("--tableau", required=True)
-    _add_dx_flags(p)
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--mode", choices=("fixed-mu", "fixed-mu-nu"), default="fixed-mu")
+    p = sub.add_parser("threshold", parents=[spectral], help="first stable-to-unstable crossing")
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("wave-spectrum", help="wave eigenvalue pairs over angles")
-    _add_dx_flags(p, minus_plus=True)
+    p = sub.add_parser("wave-spectrum", parents=[wave], help="wave eigenvalue pairs over angles")
     p.add_argument("--r-value", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=spectrum.N_SAMPLES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_wave_spectrum)
 
-    p = sub.add_parser("wave-classify", help="real or complex wave spectrum at (nu, N)")
-    _add_dx_flags(p, minus_plus=True)
+    p = sub.add_parser("wave-classify", parents=[wave],
+                       help="real or complex wave spectrum at (nu, N)")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_wave_classify)
 
-    p = sub.add_parser("simulate", help="method-of-lines run from a Gaussian pulse")
+    p = sub.add_parser("simulate", parents=[run], help="method-of-lines run from a Gaussian pulse")
     p.add_argument("--system", choices=("ade", "wave"), default="ade")
-    p.add_argument("--tableau", required=True)
-    p.add_argument("--dx", nargs=2, type=int, metavar=("L", "R"))
-    p.add_argument("--dxx", type=int, metavar="Q")
     p.add_argument("--dx-minus", nargs=2, type=int, metavar=("L", "R"))
     p.add_argument("--dx-plus", nargs=2, type=int, metavar=("L", "R"))
-    p.add_argument("--nu", type=float, default=0.0)
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t-final", dest="t_final", type=float, required=True)
-    p.add_argument("--snapshot-times", dest="snapshot_times")
-    p.add_argument("--blowup-limit", dest="blowup_limit", type=float, default=1e10)
+    p.add_argument("--t-final", type=float, required=True)
+    p.add_argument("--snapshot-times")
+    p.add_argument("--blowup-limit", type=float, default=1e10)
     p.add_argument("--out", default="sim_")
     p.set_defaults(func=cmd_simulate)
 
@@ -430,9 +408,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

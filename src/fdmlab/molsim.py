@@ -349,26 +349,29 @@ def advance(state: SimState, config: SimConfig, t_target: float,
     eps = sys.float_info.epsilon
     near = 1.5 * dt
     state = replace(state, linf_history=list(state.linf_history))
-    while t_target - state.t > tol:
-        rem = t_target - state.t
-        # The slack absorbs the rounding that state.t has accumulated (at
-        # most one half-ulp of |t| per step), so a run of exactly n steps
-        # lands on t_target instead of adding a sliver step.  It is capped
-        # at dt / 2 so that even a very long run never stretches its last
-        # step beyond 1.5 dt; so it is only worked out once rem <= 1.5 dt.
-        if rem <= near and rem <= dt + min(
-                max(1e-9 * dt, 4 * eps * state.step_count * abs(t_target)), 0.5 * dt):
-            state = step(state, config, rem)
-            state.t = t_target
-        else:
-            state = step(state, config)
-        if state.step_count % cadence == 0 or state.t == t_target:
-            state.linf_history.append((state.t, state.last_linf))
-        if stop_linf is not None and state.last_linf >= stop_linf:
-            if state.linf_history[-1][0] != state.t:
+    # an overflowing stage product or a NaN from inf - inf is reported as
+    # a blow-up by _step, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t_target - state.t > tol:
+            rem = t_target - state.t
+            # The slack absorbs the rounding that state.t has accumulated (at
+            # most one half-ulp of |t| per step), so a run of exactly n steps
+            # lands on t_target instead of adding a sliver step.  It is capped
+            # at dt / 2 so that even a very long run never stretches its last
+            # step beyond 1.5 dt; so it is only worked out once rem <= 1.5 dt.
+            if rem <= near and rem <= dt + min(
+                    max(1e-9 * dt, 4 * eps * state.step_count * abs(t_target)), 0.5 * dt):
+                state = step(state, config, rem)
+                state.t = t_target
+            else:
+                state = step(state, config)
+            if state.step_count % cadence == 0 or state.t == t_target:
                 state.linf_history.append((state.t, state.last_linf))
-            return state, True
-    return state, False
+            if stop_linf is not None and state.last_linf >= stop_linf:
+                if state.linf_history[-1][0] != state.t:
+                    state.linf_history.append((state.t, state.last_linf))
+                return state, True
+        return state, False
 
 
 def run_simulation(config: SimConfig, initial_fields, *,

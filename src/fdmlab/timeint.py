@@ -16,6 +16,7 @@ storage third-order scheme gives 1 + z + z^2/2 + z^3/6 + z^4/12.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -128,13 +129,16 @@ class ButcherTableau:
 
 @dataclass(frozen=True)
 class StabilityPolynomial:
-    """p(z) = sum_k coeffs[k] z^k, constant term first."""
+    """p(z) = sum_k coeffs[k] z^k, constant term first; every coefficient
+    must be finite."""
 
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("empty polynomial")
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError(f"polynomial coefficients must be finite, got {self.coeffs!r}")
         if self.coeffs[0] != 1.0:
             raise ValueError("constant term must be 1")
         if len(self.coeffs) > 1 and abs(self.coeffs[1] - 1.0) > _CHECK_TOL:

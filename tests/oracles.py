@@ -9,8 +9,8 @@ simulator's first array-per-stage RK update, kept as written.  The
 symbol evaluators' and the polynomial's earlier formulas (complex
 exponential blocks, allocating Horner) are kept as written too, as the
 references of the bit-identity tests, and so are the CLI's first row-wise
-CSV formula and the sweep's first loop of one full spectrum per
-resolution.  Slow on purpose; tests keep the sizes small.
+CSV formula, its first resolution-list parser with the doubling loop, and
+the sweep's first loop of one full spectrum per resolution.  Slow on purpose; tests keep the sizes small.
 """
 
 import cmath
@@ -280,3 +280,30 @@ def reference_csv_text(header, rows):
     lines = [header]
     lines.extend(",".join(str(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def reference_parse_int_list(text):
+    """The CLI's first resolution-list parser, whose "a:b" form doubles in
+    a loop."""
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) == 2:
+            a, b = int(parts[0]), int(parts[1])
+            if a <= 0 or b < a:
+                raise ValueError(f"bad range {text!r}")
+            vals = []
+            v = a
+            while v <= b:
+                vals.append(v)
+                v *= 2
+            return vals
+        if len(parts) == 3:
+            a, b, s = (int(p) for p in parts)
+            if a <= 0 or b < a or s <= 0:
+                raise ValueError(f"bad range {text!r}")
+            return list(range(a, b + 1, s))
+        raise ValueError(f"bad range {text!r}")
+    vals = [int(p) for p in text.split(",") if p]
+    if not vals:
+        raise ValueError("empty list")
+    return vals

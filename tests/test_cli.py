@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fdmlab import cli, wavesys
-from oracles import reference_csv_text
+from oracles import reference_csv_text, reference_parse_int_list
 
 
 def run(capsys, *argv):
@@ -23,21 +23,45 @@ def run(capsys, *argv):
 # ---------------------------------------------------------------- helpers
 
 
+def _seeded_ranges(seed=19, count=12):
+    """(a, b) pairs with b < 2a, b = a 2^k and b = a 2^k - 1, for a from 1
+    up to 2^40."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for a in [1, 2, 3, 2**40, *(int(2**e) for e in rng.uniform(0, 40, count))]:
+        k = int(rng.integers(1, 24))
+        pairs += [(a, int(rng.integers(a, 2 * a))), (a, a << k), (a, (a << k) - 1)]
+    return pairs
+
+
+RANGES = _seeded_ranges()
+
+
 def test_parse_int_list_doubling_range():
     assert cli.parse_int_list("16:128") == [16, 32, 64, 128]
     assert cli.parse_int_list("16:100") == [16, 32, 64]
+    for a, b in RANGES:
+        text = f"{a}:{b}"
+        assert cli.parse_int_list(text) == reference_parse_int_list(text), text
 
 
 def test_parse_int_list_stepped_and_plain():
     assert cli.parse_int_list("4:10:2") == [4, 6, 8, 10]
     assert cli.parse_int_list("3,5,9") == [3, 5, 9]
     assert cli.parse_int_list("64") == [64]
+    for a, b in RANGES:
+        for text in (f"{a}:{b}:{max(1, (b - a) // 5)}", f"{b},{a}", str(b)):
+            assert cli.parse_int_list(text) == reference_parse_int_list(text), text
 
 
-@pytest.mark.parametrize("bad", ["0:8", "8:4", "4:10:0", "1:2:3:4", ","])
+@pytest.mark.parametrize("bad", ["0:8", "8:4", "4:10:0", "1:2:3:4", ","]
+                         + [t for a, b in RANGES[::6] for t in (
+                             f"{b}:{a - 1}", f"0:{b}", f"-{a}:{b}", f"{a}:{b}:0",
+                             f"{a}:{b}:-{a}", f"{a}:{b}:1:{b}")])
 def test_parse_int_list_rejects(bad):
-    with pytest.raises(ValueError):
-        cli.parse_int_list(bad)
+    for parse in (cli.parse_int_list, reference_parse_int_list):
+        with pytest.raises(ValueError):
+            parse(bad)
 
 
 def test_parse_float_list():
@@ -467,6 +491,19 @@ def test_simulate_blowup_summary(capsys, tmp_path):
     assert 0 < summary["t_blowup"] < 50
 
 
+def test_simulate_overflowing_stages_read_as_a_blowup_without_warnings(capsys, tmp_path):
+    # the entries fit a double, but dt a_ij k_j overflows in the third stage
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"a": [[], ["1e200"], [0, "1e200"]], "b": [0, 0, 1]}))
+    code, out, err = run(capsys, "simulate", "--tableau", str(path), "--dx", "1", "0",
+                         "--mu", "0.5", "--n", "32", "--t-final", "0.1",
+                         "--out", str(tmp_path / "o_"))
+    assert (code, out, err) == (0, "", "")
+    assert json.loads((tmp_path / "o_summary.json").read_text()) == {
+        "blowup": True, "linf_series": [[0.0, 1.0]], "snapshot_times": [],
+        "t_blowup": 0.015625}
+
+
 def test_simulate_argument_validation(capsys, tmp_path):
     base = ["simulate", "--tableau", "rk4", "--mu", "0.5", "--n", "32",
             "--t-final", "1", "--out", str(tmp_path / "x_")]
@@ -524,6 +561,17 @@ def test_zero_cells_is_a_usage_error(capsys, tmp_path, argv):
     code, _, err = run(capsys, *argv, "--n", "0", "--out", str(tmp_path / "o"))
     assert code == 2
     assert "need at least 4 cells" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), AssertionError("boom")])
+def test_unexpected_exception_exits_3(capsys, tmp_path, monkeypatch, exc):
+    def fail(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_coeffs", fail)
+    code, out, err = run(capsys, "coeffs", "dx", "1", "0", "--out", str(tmp_path / "c.csv"))
+    assert (code, out) == (3, "")
+    assert err == f"internal error: {exc!r}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -84,6 +84,17 @@ def test_stability_polynomial_validation():
         StabilityPolynomial((1.0, 0.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_stability_polynomial_refuses_non_finite_coefficients(k, bad):
+    # a NaN linear term passed the consistency check, and any NaN or inf
+    # made every verdict read index nan
+    coeffs = [1.0, 1.0, 0.5, 1 / 6]
+    coeffs[k] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        StabilityPolynomial(tuple(coeffs))
+
+
 def test_eval_p_shapes():
     p = stability_polynomial(get_tableau("rk2"))
     assert eval_p(p, 0.0) == 1.0 + 0.0j
