@@ -285,12 +285,17 @@ def cmd_simulate(args):
         snaps = tuple(args.t_final * f for f in (0.25, 0.5, 1.0))
     pulse = molsim.gaussian_pulse(args.n)
     if args.system == "wave":
+        if args.dx:
+            raise ValueError("wave simulate does not take --dx")
         if not args.dx_minus or args.dxx is None:
             raise ValueError("wave simulate needs --dx-minus and --dxx")
         operators = _wave_from_args(args)
         initial = (pulse,) * 2  # make_state copies each field
         header = "x,v,p"
     else:
+        stray = [f for f, v in (("--dx-minus", args.dx_minus), ("--dx-plus", args.dx_plus)) if v]
+        if stray:
+            raise ValueError(f"scalar simulate does not take {' or '.join(stray)}")
         if not args.dx:
             raise ValueError("scalar simulate needs --dx")
         operators = _ade_operators(args)

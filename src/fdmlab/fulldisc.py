@@ -13,11 +13,10 @@ angles 2 pi k / n of n cells are bit for bit every 2^j-th angle of n * 2^j
 cells (scaling by 2^j is exact), so a resolution sweep evaluates the
 advection and diffusion symbols once per chain n, 2n, 4n, ... on its
 finest grid, and each coarser grid slices them.  The slices keep their
-bits: the BLAS product of a symbol block of two or more angles gives each
-angle the same value (as measured on OpenBLAS; the bit-identity tests pin
-it), a one-angle block can only hold the angle 0, which is set to 0
-exactly anyway, and lambda_R = adv + R * dif is taken element by element
-with each grid's own R.  :func:`semidiscrete_eigs` is the one-grid case.
+bits: a symbol's value at an angle depends on the angle alone (see
+``spectrum``; the bit-identity tests pin it), and lambda_R = adv + R * dif
+is taken element by element with each grid's own R.
+:func:`semidiscrete_eigs` is the one-grid case.
 """
 
 from __future__ import annotations
@@ -166,9 +165,11 @@ def _grid_spectra(dx: FdOperator | None, dxx: FdOperator | None, grids):
 
     The grids share nu and have n * 2^j cells for increasing j.  The
     symbols are evaluated once, at the finest grid's angles, and each
-    coarser grid slices them (see the module docstring).  The finest grid
-    comes last, so its symbol parts are freed before the caller evaluates
-    a polynomial on its lambda_R.  R = 0 drops the diffusion term.
+    coarser grid slices them; every slice equals that grid's own
+    evaluation bit for bit, for every stencil (see the module docstring).
+    The finest grid comes last, so its symbol parts are freed before the
+    caller evaluates a polynomial on its lambda_R.  R = 0 drops the
+    diffusion term.
     """
     finest = grids[-1]
     n = finest.n_cells

@@ -19,7 +19,10 @@ like -c * theta^(2*left) near theta = 0, far below summation roundoff
 for wide stencils, so sign-critical paths use the closed-form sine-power
 expression instead of the coefficient sum.
 
-The symbols are evaluated over blocks of at most _CHUNK angles.  An
+The symbols are evaluated over blocks of at most _CHUNK angles, each
+with a row count that is a multiple of _ROWS, so every angle takes one
+kernel route and its value depends on the angle alone: a scalar angle,
+and an angle at any position of any array, get the same bits.  An
 advection block writes the real products k * theta into the imaginary
 half of one complex array, fills e^{i k theta} there as cos + i sin in
 place, and sums it against the coefficients with one matrix-vector
@@ -33,11 +36,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Integral
 
 import numpy as np
 
-from .stencil import FdOperator, StabilityClass, StencilKind, classify
+from .stencil import FdOperator, StabilityClass, StencilKind, _check_integer, classify
 
 __all__ = [
     "advection_symbol",
@@ -53,6 +55,9 @@ __all__ = [
 
 N_SAMPLES = 4096  # default angle count of the sampled checks and trajectories
 _CHUNK = 1 << 16  # angles per block of the symbol evaluators
+# row multiple of every block: OpenBLAS's dgemv_t takes rows in fours and rounds
+# the rest differently, and numpy sends a lone row down its dot route
+_ROWS = 4
 
 
 def _require_dx(op: FdOperator) -> None:
@@ -82,12 +87,6 @@ def sample_grid(n_samples: int) -> np.ndarray:
     return th
 
 
-def _check_integer(count, name: str) -> None:
-    """The integer rule of every cell and sample count; bools are refused."""
-    if isinstance(count, bool) or not isinstance(count, Integral):
-        raise ValueError(f"{name} must be an integer, got {count!r}")
-
-
 def _check_n_cells(n_cells, least: int) -> None:
     """The cell-count rule of every periodic grid: an integer >= least."""
     _check_integer(n_cells, "n_cells")
@@ -107,8 +106,11 @@ def grid_angles(n_cells: int) -> np.ndarray:
 def _evaluate(block, theta, dtype):
     """Symbol values ``block(th)`` filled into one preallocated output,
     _CHUNK angles at a time, so (angles x width) work arrays stay bounded;
-    exactly 0 at theta = 0, and a Python scalar for a scalar angle.
-    Complex, NaN and infinite angles raise ValueError."""
+    exactly 0 at theta = 0, and a Python scalar for a scalar angle.  A
+    block whose row count is not a multiple of _ROWS repeats its own angles
+    up to one, and the extra rows are dropped, so each angle's value
+    depends on the angle alone.  Complex, NaN and infinite angles raise
+    ValueError."""
     if np.iscomplexobj(theta):  # a float cast would keep only the real part
         raise ValueError("angles must be real")
     th = np.asarray(theta, dtype=float)
@@ -117,7 +119,10 @@ def _evaluate(block, theta, dtype):
         raise ValueError("angles must be finite")
     out = np.empty(flat.shape, dtype=dtype)
     for start in range(0, flat.size, _CHUNK):
-        out[start : start + _CHUNK] = block(flat[start : start + _CHUNK])
+        dest, rows = out[start : start + _CHUNK], flat[start : start + _CHUNK]
+        if dest.size % _ROWS:  # repeat the block's own angles up to a row multiple
+            rows = np.resize(rows, dest.size + -dest.size % _ROWS)
+        dest[...] = block(rows)[: dest.size]
     out[flat == 0.0] = 0.0
     return out[0].item() if th.ndim == 0 else out.reshape(th.shape)
 

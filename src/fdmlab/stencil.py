@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -41,6 +42,13 @@ __all__ = [
     "classify",
     "mirror",
 ]
+
+
+def _check_integer(count, name: str) -> None:
+    """The integer rule of every stencil extent, cell count and sample
+    count: numpy integers pass, bools and floats are refused."""
+    if isinstance(count, bool) or not isinstance(count, Integral):
+        raise ValueError(f"{name} must be an integer, got {count!r}")
 
 
 class StencilKind(Enum):
@@ -70,8 +78,8 @@ class StencilSpec:
     """Extent and kind of a stencil.
 
     ``left`` and ``right`` are the number of neighbors used on each side of
-    the center point.  Second-derivative stencils are centered, so their
-    extents must match and be positive.
+    the center point, integers both.  Second-derivative stencils are
+    centered, so their extents must match and be positive.
     """
 
     left: int
@@ -79,6 +87,8 @@ class StencilSpec:
     kind: StencilKind
 
     def __post_init__(self) -> None:
+        _check_integer(self.left, "left")
+        _check_integer(self.right, "right")
         if self.left < 0 or self.right < 0:
             raise ValueError("stencil extents must be non-negative")
         if self.kind is StencilKind.FIRST_DERIVATIVE:
@@ -101,17 +111,20 @@ class FdOperator:
 
     ``coeffs[i]`` is the weight of the grid neighbor at offset
     ``i - spec.left``, so the tuple runs over offsets -left..right.
-    ``order`` is the formal accuracy order: left+right for the first
-    derivative, 2q for the centered second derivative.
     """
 
     spec: StencilSpec
     coeffs: tuple[Fraction, ...]
-    order: int
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.spec.width:
             raise ValueError("coefficient count does not match stencil width")
+
+    @property
+    def order(self) -> int:
+        """Formal accuracy order: left+right for the first derivative, 2q
+        for the centered second derivative."""
+        return self.spec.left + self.spec.right
 
     @property
     def left(self) -> int:
@@ -171,7 +184,7 @@ def build_dx(left: int, right: int) -> FdOperator:
                 k * math.factorial(left + k) * math.factorial(right - k),
             )
         coeffs.append(c)
-    return FdOperator(spec, tuple(coeffs), left + right)
+    return FdOperator(spec, tuple(coeffs))
 
 
 def build_dxx(q: int) -> FdOperator:
@@ -192,7 +205,7 @@ def build_dxx(q: int) -> FdOperator:
                 k * k * math.factorial(q + k) * math.factorial(q - k),
             )
         coeffs.append(c)
-    return FdOperator(spec, tuple(coeffs), 2 * q)
+    return FdOperator(spec, tuple(coeffs))
 
 
 def classify(spec: StencilSpec) -> StabilityClass:
@@ -220,4 +233,4 @@ def mirror(op: FdOperator) -> FdOperator:
         raise ValueError("mirror applies to first-derivative operators")
     spec = StencilSpec(op.right, op.left, StencilKind.FIRST_DERIVATIVE)
     coeffs = tuple(-c for c in reversed(op.coeffs))
-    return FdOperator(spec, coeffs, op.order)
+    return FdOperator(spec, coeffs)

@@ -122,8 +122,10 @@ def wave_eigs(w: WaveDiscretization, r: float, theta):
         disc = rb.astype(complex) ** 2 + s**2
         sq = np.sqrt(disc)
         trace = rb - d
-        lam1 = 0.5 * (trace + sq)
-        lam2 = 0.5 * (trace - sq)
+        # not 0.5 * (...): numpy reuses a temporary of 256 KiB or more with
+        # the factors swapped, which can flip the sign of a zero
+        lam1 = np.multiply(0.5, trace + sq)
+        lam2 = np.multiply(0.5, trace - sq)
     if not (np.isfinite(lam1).all() and np.isfinite(lam2).all()):
         raise ValueError(f"R must be finite and small enough for finite eigenvalues, got {r!r}")
     s2 = np.abs(s) ** 2

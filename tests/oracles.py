@@ -210,17 +210,21 @@ def assert_multiset_close(got, want, tol=1e-10):
 
 
 REFERENCE_CHUNK = 1 << 16  # angles per block, as the symbol evaluators use
+REFERENCE_ROWS = 4  # row multiple of every block, as the symbol evaluators use
 
 
 def _reference_blocks(block, theta, dtype):
-    """The symbol evaluators' block loop as it was: REFERENCE_CHUNK angles
-    at a time into one output, exactly 0 at theta = 0, and a Python scalar
-    for a scalar angle."""
+    """The symbol evaluators' block loop: REFERENCE_CHUNK angles at a time
+    into one output, each block's rows repeated up to a multiple of
+    REFERENCE_ROWS and the extra rows dropped, exactly 0 at theta = 0, and
+    a Python scalar for a scalar angle."""
     th = np.asarray(theta, dtype=float)
     flat = th.reshape(-1)
     out = np.empty(flat.shape, dtype=dtype)
     for start in range(0, flat.size, REFERENCE_CHUNK):
-        out[start : start + REFERENCE_CHUNK] = block(flat[start : start + REFERENCE_CHUNK])
+        part = flat[start : start + REFERENCE_CHUNK]
+        rows = np.resize(part, -(-part.size // REFERENCE_ROWS) * REFERENCE_ROWS)
+        out[start : start + part.size] = block(rows)[: part.size]
     out[flat == 0.0] = 0.0
     return out[0].item() if th.ndim == 0 else out.reshape(th.shape)
 

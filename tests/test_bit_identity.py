@@ -11,6 +11,11 @@ seeded numpy generators: every first-derivative stencil up to dx(21, 21),
 every centered dxx(q) up to q = 5, grid sizes on both sides of the
 2^16-angle block height, all six built-in tableaux over step ratios from
 1e-3 to 1e3, and nested and mixed resolution lists in both sweep modes.
+
+A symbol's bits depend on its angle alone: every evaluator, and the wave
+eigenvalue pairs, give a scalar angle and the same angle at any position
+of an array of any size the same bits, and every coarse grid's slice of a
+sweep's finest-grid symbols equals that grid's own evaluation.
 """
 
 import math
@@ -21,20 +26,26 @@ import pytest
 from fdmlab import (
     GridConfig,
     SweepMode,
+    WaveDiscretization,
     ade_symbol,
     advection_symbol,
     build_dx,
     build_dxx,
+    diffusion_symbol,
     eval_p,
     full_spectrum,
     get_tableau,
     grid_angles,
     instability_curve,
+    mirror,
     sample_grid,
     sample_trajectory,
     semidiscrete_eigs,
     stability_polynomial,
+    upwind_symbol_real_part,
+    wave_eigs,
 )
+from fdmlab.fulldisc import _grid_spectra
 from oracles import (
     reference_ade_symbol,
     reference_advection_symbol,
@@ -202,3 +213,75 @@ def test_eval_p(name, grid_spectra):
     with np.errstate(all="ignore"):  # high powers of large z overflow
         for arg in (z, x, z.reshape(100, -1), complex(z[0]), float(x[0]), 0.0, 1e-3j):
             same_bits(eval_p(p, arg), reference_eval_p(p.coeffs, arg))
+
+
+EVALUATORS = ["advection", "diffusion", "ade", "upwind", "wave"]
+DXX_HALF_WIDTHS = [1, 3, 8, 12, 20]
+# every remainder of a 4-row group, both sides of 4096 samples, and one
+# angle alone in the last block of 2^16 angles
+POSITION_SIZES = [*range(1, 18), 4095, 4097, 65537]
+POOL = 16  # angles of each kind followed through every size
+
+
+def _draw_evaluator(name, rng, case):
+    """One evaluator as a function of the angles alone, its operators drawn
+    from dx(l, r) with l, r <= 21 and dxx(q) with q in DXX_HALF_WIDTHS."""
+    q = DXX_HALF_WIDTHS[case % len(DXX_HALF_WIDTHS)]
+    dx, dxx, r = random_dx(rng), build_dxx(q), random_r(rng)
+    if name == "advection":
+        return lambda th: advection_symbol(dx, th)
+    if name == "diffusion":
+        return lambda th: diffusion_symbol(dxx, th)
+    if name == "ade":
+        return lambda th: ade_symbol(dx, dxx, r, th)
+    if name == "upwind":
+        up = _random_upwind(rng)
+        return lambda th: upwind_symbol_real_part(up, th)
+    w = WaveDiscretization(_random_upwind(rng), mirror(_random_upwind(rng)), dxx)
+    r_wave = float(10.0 ** rng.uniform(-2, 3))  # R > 0 lets R b set the signs of zeros
+    return lambda th: wave_eigs(w, r_wave, th)
+
+
+def _random_upwind(rng):
+    right = int(rng.integers(0, EXTENT))
+    return build_dx(min(right + int(rng.integers(1, 3)), EXTENT), right)
+
+
+def _words(f, theta, at):
+    """The bytes of every value f gives at the angles theta[at], in order."""
+    out = f(theta)
+    parts = [np.asarray(v).reshape(-1) for v in (out if isinstance(out, tuple) else (out,))]
+    return [b"".join(p[i].tobytes() for p in parts) for i in at]
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_symbol_bits_depend_on_the_angle_alone(name):
+    # a scalar angle and an angle at any position of any array get the same
+    # bits: remainder rows of a block and a lone last angle included
+    rng = np.random.default_rng(20 + EVALUATORS.index(name))
+    for case in range(2 * len(DXX_HALF_WIDTHS)):
+        f = _draw_evaluator(name, rng, case)
+        # subnormal angles too, whose tiny values show the signs of zeros
+        tiny = rng.choice([-1.0, 1.0], POOL) * 10.0 ** rng.uniform(-323.5, -300, POOL)
+        pool = rng.permutation(np.concatenate([angle_pools(rng, POOL), tiny]))
+        want = _words(f, pool, range(pool.size))
+        for i, theta in enumerate(pool):
+            assert _words(f, float(theta), [0]) == [want[i]], (name, case, "scalar", i)
+        for size in POSITION_SIZES:
+            theta = angle_pools(rng, size)
+            count = min(size, pool.size)
+            at = np.append(rng.choice(size - 1, count - 1, replace=False), size - 1)
+            theta[at] = pool[:count]
+            assert _words(f, theta, at) == want[:count], (name, case, size)
+
+
+@pytest.mark.parametrize("base", [5, 6, 7, 10, 11])
+def test_grid_spectra_slices_equal_direct_evaluation(base):
+    # wide diffusion stencils: every coarse grid's slice of the finest
+    # grid's symbols keeps the bits of evaluating that grid alone
+    grids = [GridConfig(base * 2**j, 0.01, dt=0.1 / (base * 2**j)) for j in range(8)]
+    for q in (8, 12, 20):
+        for dx in (None, build_dx(3, 1)):
+            dxx = build_dxx(q)
+            for grid, lam in zip(grids, _grid_spectra(dx, dxx, grids)):
+                same_bits(lam, semidiscrete_eigs(dx, dxx, grid))

@@ -517,6 +517,21 @@ def test_simulate_argument_validation(capsys, tmp_path):
     assert code == 2 and "positive" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--dx", "1", "0", "--dx-minus", "2", "1", "--dx-plus", "5", "5"],
+     "scalar simulate does not take --dx-minus or --dx-plus"),
+    (["--dx", "1", "0", "--dx-plus", "1", "2"], "scalar simulate does not take --dx-plus"),
+    (["--system", "wave", "--dx-minus", "1", "0", "--dxx", "1", "--dx", "9", "9"],
+     "wave simulate does not take --dx"),
+], ids=["ade-dx-minus-dx-plus", "ade-dx-plus", "wave-dx"])
+def test_simulate_refuses_the_other_systems_flags(capsys, tmp_path, argv, message):
+    # the flags of the system not run were once dropped without a word
+    code, out, err = run(capsys, "simulate", "--tableau", "rk4", *argv, "--mu", "0.5",
+                         "--n", "16", "--t-final", "0.1", "--out", str(tmp_path / "x_"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "extra,field",
     [

@@ -104,6 +104,37 @@ def test_spec_validation():
         StencilSpec(2, 1, StencilKind.SECOND_DERIVATIVE_CENTERED)
 
 
+@pytest.mark.parametrize("left,right,bad", [(1.5, 0, "left"), (True, 0, "left"),
+                                            (2.0, 1, "left"), (1, 1.0, "right"),
+                                            ("2", 1, "left")])
+def test_stencil_extents_must_be_integers(left, right, bad):
+    # an integral float or a bool is no extent; 2.0 once failed in math.factorial
+    value = left if bad == "left" else right
+    for call in (lambda: StencilSpec(left, right, StencilKind.FIRST_DERIVATIVE),
+                 lambda: build_dx(left, right), lambda: build_dxx(value)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value).endswith(f" must be an integer, got {value!r}")
+
+
+def test_numpy_integer_extents_are_kept():
+    op = build_dx(np.int64(3), np.int64(1))
+    assert op.coeffs == build_dx(3, 1).coeffs
+    assert build_dxx(np.int64(2)).coeffs == build_dxx(2).coeffs
+
+
+def test_order_is_derived_from_the_extent():
+    # l + r for dx(l, r), 2q for dxx(q), and the mirror keeps it
+    for op, want in [(build_dx(3, 1), 4), (build_dx(0, 2), 2), (build_dxx(3), 6),
+                     (mirror(build_dx(5, 2)), 7)]:
+        assert op.order == want
+        assert f"order={want}," in repr(op)
+    op = build_dx(2, 1)
+    with pytest.raises(TypeError):
+        FdOperator(op.spec, op.coeffs, 99)
+    assert FdOperator(op.spec, op.coeffs) == op
+
+
 def test_operator_helpers():
     op = build_dx(2, 1)
     assert op.spec.width == 4
