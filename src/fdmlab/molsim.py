@@ -32,7 +32,7 @@ import numpy as np
 
 from .fulldisc import GridConfig
 from .spectrum import _require_dx, _require_dxx
-from .stencil import FdOperator, StencilKind
+from .stencil import FdOperator, StencilKind, _check_integer
 from .timeint import ButcherTableau
 from .wavesys import WaveDiscretization
 
@@ -219,6 +219,7 @@ class SimResult:
 
 def gaussian_pulse(n_cells: int) -> np.ndarray:
     """exp(-100 (x - 1/2)^2) sampled at x_j = j/n."""
+    _check_integer(n_cells, "n_cells")
     x = np.arange(n_cells) / n_cells
     return np.exp(-100.0 * (x - 0.5) ** 2)
 

@@ -251,6 +251,7 @@ def vietoris_check(q: int) -> bool:
     put the sine series in the Vietoris class, whose partial sums are
     positive on (0, pi), hence the symbol strictly decreases there.
     """
+    _check_integer(q, "q")
     if q < 1:
         raise ValueError("q must be at least 1")
     qf2 = math.factorial(q) ** 2

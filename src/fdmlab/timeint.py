@@ -5,7 +5,9 @@ p(z) with z = dt*lam, where
 
     p(z) = 1 + z b . (I - z A)^(-1) 1 = 1 + sum_{k=1..s} (b . A^(k-1) 1) z^k.
 
-A is strictly lower triangular, so A^s = 0 and the sum ends at k = s.
+A is stored as its rows below the diagonal (row i holds a_i0 ... a_i,i-1),
+so every tableau is explicit by construction, A^s = 0 and the sum ends at
+k = s.  The abscissae c_i = sum_j a_ij are derived from the rows.
 Tableau entries are stored as exact rationals (floats convert exactly, so
 JSON input loses nothing) and the sums b . A^(k-1) 1 are exact; the
 polynomial coefficients are rounded to double once at the end.  That keeps
@@ -60,15 +62,14 @@ def _double(x: Fraction, what: str) -> float:
 class ButcherTableau:
     """Explicit Runge-Kutta tableau with exact rational entries.
 
-    ``a`` is the full s x s stage matrix (strictly lower triangular),
-    ``b`` the weights and ``c`` the abscissae.  ``order`` is the declared
-    classical order when known.  Every entry, the weight sum and each
-    abscissa's difference from its row sum must lie in the double range.
+    ``a`` holds the strictly lower stage rows: row i is a_i0 ... a_i,i-1.
+    ``b`` holds the weights and ``order`` the declared classical order when
+    known.  The abscissae ``c`` are the stage row sums.  Every entry and
+    the weight sum must lie in the double range.
     """
 
     a: tuple[tuple[Fraction, ...], ...]
     b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
     name: str = ""
     order: int | None = None
 
@@ -76,55 +77,57 @@ class ButcherTableau:
         s = len(self.b)
         if s < 1:
             raise ValueError("tableau needs at least one stage")
-        if len(self.a) != s or any(len(row) != s for row in self.a):
-            raise ValueError("stage matrix must be s x s")
-        if len(self.c) != s:
-            raise ValueError("abscissae length must match stage count")
-        for i, row in enumerate(self.a):
-            for j in range(i, s):
-                if row[j] != 0:
-                    raise ValueError("stage matrix must be strictly lower triangular")
+        if [len(row) for row in self.a] != list(range(s)):
+            raise ValueError("stage row i must hold exactly i entries")
         named = {f"a[{i}]": row for i, row in enumerate(self.a)}
-        named.update(b=self.b, c=self.c)
+        named["b"] = self.b
         for name, vec in named.items():
             for j, x in enumerate(vec):
                 _double(x, f"tableau entry {name}[{j}]")
         if abs(_double(sum(self.b), "weight sum") - 1.0) > _CHECK_TOL:
             raise ValueError("weights must sum to 1")
-        if abs(float(self.c[0])) > _CHECK_TOL:
-            raise ValueError("first abscissa must be 0")
-        for i in range(s):
-            diff = _double(self.c[i] - sum(self.a[i][:i]), f"c[{i}] minus its row sum")
-            if abs(diff) > _CHECK_TOL:
-                raise ValueError("abscissae must equal stage row sums")
 
     @property
     def stages(self) -> int:
         return len(self.b)
+
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        """Abscissae: the stage row sums."""
+        return tuple(sum(row, Fraction(0)) for row in self.a)
 
     @classmethod
     def from_rows(cls, a_rows, b, c=None, name: str = "", order: int | None = None
                   ) -> "ButcherTableau":
         """Build from ragged lower rows (or a full square matrix).
 
-        ``c`` defaults to the stage row sums.
+        Short rows are padded with zeros.  A given ``c`` is checked against
+        the stage row sums, not stored.
         """
         s = len(b)
         if len(a_rows) > s:
             raise ValueError(f"{len(a_rows)} stage rows for {s} weights")
-        full = []
+        rows = []
         for i in range(s):
             row = [_to_fraction(x) for x in (a_rows[i] if i < len(a_rows) else [])]
             if len(row) > s:
                 raise ValueError("stage row longer than stage count")
-            row = row + [Fraction(0)] * (s - len(row))
-            full.append(tuple(row))
-        bf = tuple(_to_fraction(x) for x in b)
-        if c is None:
-            cf = tuple(sum(full[i][:i], Fraction(0)) for i in range(s))
-        else:
-            cf = tuple(_to_fraction(x) for x in c)
-        return cls(tuple(full), bf, cf, name=name, order=order)
+            if any(row[i:]):
+                raise ValueError("stage matrix must be strictly lower triangular")
+            rows.append(tuple(row[:i]) + (Fraction(0),) * (i - len(row)))
+        tab = cls(tuple(rows), tuple(_to_fraction(x) for x in b), name=name, order=order)
+        if c is not None:
+            cf = [_to_fraction(x) for x in c]
+            if len(cf) != s:
+                raise ValueError("abscissae length must match stage count")
+            for j, x in enumerate(cf):
+                _double(x, f"tableau entry c[{j}]")
+            if abs(float(cf[0])) > _CHECK_TOL:
+                raise ValueError("first abscissa must be 0")
+            for i, (ci, row_sum) in enumerate(zip(cf, tab.c)):
+                if abs(_double(ci - row_sum, f"c[{i}] minus its row sum")) > _CHECK_TOL:
+                    raise ValueError("abscissae must equal stage row sums")
+        return tab
 
 
 @dataclass(frozen=True)
@@ -205,17 +208,14 @@ def builtin_tableaux() -> dict[str, ButcherTableau]:
     1 + z + z^2/2 + z^3/6 + z^4/12).  rk4: the classical fourth-order
     method.
     """
-    return {
-        name: ButcherTableau.from_rows(a, b, name=name, order=order)
-        for name, (a, b, order) in _BUILTIN_ROWS.items()
-    }
+    return {name: get_tableau(name) for name in _BUILTIN_ROWS}
 
 
 def get_tableau(name: str) -> ButcherTableau:
-    table = builtin_tableaux()
-    if name not in table:
-        raise KeyError(f"unknown tableau {name!r}; known: {', '.join(sorted(table))}")
-    return table[name]
+    if name not in _BUILTIN_ROWS:
+        raise KeyError(f"unknown tableau {name!r}; known: {', '.join(sorted(_BUILTIN_ROWS))}")
+    a, b, order = _BUILTIN_ROWS[name]
+    return ButcherTableau.from_rows(a, b, name=name, order=order)
 
 
 def tableau_from_json(path) -> ButcherTableau:

@@ -121,6 +121,17 @@ def test_outputs_get_umask_file_mode(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.csv.manifest.json"]
 
 
+def test_failed_write_leaves_no_temp_file_and_no_manifest(capsys, tmp_path):
+    # os.replace onto a directory fails after the temp file is written
+    out = tmp_path / "D"
+    out.mkdir()
+    code, stdout, err = run(capsys, "coeffs", "dx", "3", "1", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: [Errno 21] Is a directory: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["D"]
+    assert list(out.iterdir()) == []
+
+
 def test_coeffs_bad_extent(capsys):
     code, _, err = run(capsys, "coeffs", "dx", "0", "0")
     assert code == 2 and err.startswith("error:")

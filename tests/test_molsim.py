@@ -423,6 +423,15 @@ def test_initial_fields_must_match_the_config():
             run_simulation(config, fields)
 
 
+@pytest.mark.parametrize("n", [8.0, True])
+def test_pulse_cell_count_must_be_an_integer(n):
+    # 8.0 gave 8 samples and True gave one
+    with pytest.raises(ValueError) as err:
+        gaussian_pulse(n)
+    assert str(err.value) == f"n_cells must be an integer, got {n!r}"
+    assert np.array_equal(gaussian_pulse(np.int64(8)), gaussian_pulse(8))
+
+
 @pytest.mark.parametrize(
     "kw,field",
     [

@@ -149,6 +149,15 @@ def test_diffusion_negative_and_vietoris():
         vietoris_check(0)
 
 
+@pytest.mark.parametrize("q", [2.0, True])
+def test_vietoris_order_must_be_an_integer(q):
+    # True read as q = 1 and 2.0 raised TypeError from math.factorial
+    with pytest.raises(ValueError) as err:
+        vietoris_check(q)
+    assert str(err.value) == f"q must be an integer, got {q!r}"
+    assert vietoris_check(np.int64(3))
+
+
 @pytest.mark.parametrize("left,right", [(1, 0), (2, 1), (3, 1), (5, 4), (11, 10)])
 def test_asymptotic_exponent(left, right):
     slope = asymptotic_exponent(build_dx(left, right))

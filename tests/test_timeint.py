@@ -1,5 +1,6 @@
 """Tableaux, stability polynomials, and region membership."""
 
+import dataclasses
 import json
 import math
 import re
@@ -54,8 +55,28 @@ def test_tableau_structure():
     assert tab.c == (F(0), F(1, 2), F(1, 2), F(1))
     assert sum(tab.b) == 1
     assert tab.b == (F(1, 6), F(1, 3), F(1, 3), F(1, 6))
-    assert len(tab.a) == 4 and all(len(row) == 4 for row in tab.a)
-    assert all(tab.a[i][j] == 0 for i in range(4) for j in range(i, 4))
+    # a holds the rows below the diagonal only: explicit by construction
+    assert tab.a == ((), (F(1, 2),), (F(0), F(1, 2)), (F(0), F(0), F(1)))
+
+
+def test_tableau_fields_are_rows_weights_name_order():
+    assert [f.name for f in dataclasses.fields(ButcherTableau)] == ["a", "b", "name", "order"]
+    with pytest.raises(ValueError, match="stage row i must hold exactly i entries"):
+        ButcherTableau(((F(0),), (F(1), F(0))), (F(1, 2), F(1, 2)))
+
+
+def test_get_tableau_builds_only_the_one_it_returns(monkeypatch):
+    built = []
+    from_rows = ButcherTableau.from_rows
+
+    def counted(*args, **kw):
+        built.append(kw["name"])
+        return from_rows(*args, **kw)
+
+    monkeypatch.setattr(ButcherTableau, "from_rows", staticmethod(counted))
+    assert get_tableau("rk4").name == "rk4"
+    assert built == ["rk4"]
+    assert list(builtin_tableaux()) == built[1:] == ["fe", "rk2", "ssprk2", "rk3", "lsrk3", "rk4"]
 
 
 def test_from_rows_validation():
@@ -150,6 +171,57 @@ def test_tableau_from_json_forms(tmp_path):
         assert stability_polynomial(loaded).coeffs == stability_polynomial(want).coeffs
 
 
+def test_rows_and_abscissae_of_every_builtin_and_json_tableau(tmp_path):
+    tabs = [*builtin_tableaux().values(), tableau_from_json(_json_file(tmp_path, RK4_JSON))]
+    for tab in tabs:
+        assert [len(row) for row in tab.a] == list(range(tab.stages)), tab.name
+        assert tab.c == tuple(sum(row, F(0)) for row in tab.a), tab.name
+    assert tabs[-1].c == (0, F(1, 2), F(1, 2), 1)
+
+
+def _random_tableau_rows(rng):
+    """s = 1..6 ragged rows and weights summing to 1, entries p/q with
+    q in 1..9 (zeros included, so some stage plans are sparse)."""
+    s = int(rng.integers(1, 7))
+    entries = map(F, rng.integers(-9, 10, s * s).tolist(), rng.integers(1, 10, s * s).tolist())
+    rows = [[next(entries) for _ in range(i)] for i in range(s)]
+    b = [next(entries) for _ in range(s - 1)]
+    return rows, b + [1 - sum(b, F(0))]
+
+
+def _exact_coefficients(square, b):
+    """1, then b . A^(k-1) 1 for k = 1..s, from the full s x s matrix."""
+    s = len(b)
+    coeffs, v = [F(1)], [F(1)] * s
+    for _ in range(s):
+        coeffs.append(sum(bj * vj for bj, vj in zip(b, v)))
+        v = [sum(square[i][j] * v[j] for j in range(s)) for i in range(s)]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return [float(c) for c in coeffs]
+
+
+def test_seeded_tableaux_forms_checks_and_polynomials():
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        rows, b = _random_tableau_rows(rng)
+        s = len(b)
+        square = [row + [F(0)] * (s - len(row)) for row in rows]
+        sums = [sum(row, F(0)) for row in rows]
+        tab = ButcherTableau.from_rows(rows, b)
+        assert tab == ButcherTableau.from_rows(square, b) == ButcherTableau.from_rows(rows, b, sums)
+        assert tab.c == tuple(sums)
+        j = int(rng.integers(s))
+        off = sums[:j] + [sums[j] + F(1, 1000)] + sums[j + 1:]
+        with pytest.raises(ValueError, match="abscissae must equal|first abscissa"):
+            ButcherTableau.from_rows(rows, b, off)
+        diag = [list(row) for row in square]
+        diag[j][j] = F(int(rng.choice([-1, 1])), int(rng.integers(1, 10)))
+        with pytest.raises(ValueError, match="strictly lower triangular"):
+            ButcherTableau.from_rows(diag, b)
+        assert list(stability_polynomial(tab).coeffs) == _exact_coefficients(square, b)
+
+
 def test_tableau_from_json_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError):
         tableau_from_json(_json_file(tmp_path, {"b": [1]}))
@@ -159,6 +231,10 @@ def test_tableau_from_json_rejects_bad_input(tmp_path):
         tableau_from_json(_json_file(tmp_path, {"a": [[], [1]], "b": [0.5, 0.5], "stages": 3}))
     with pytest.raises(json.JSONDecodeError):
         tableau_from_json(_json_file(tmp_path, "not json {"))
+    with pytest.raises(ValueError, match="abscissae length must match stage count"):
+        tableau_from_json(_json_file(tmp_path, {"a": [[], [1]], "b": [0.5, 0.5], "c": [0, 1, 2]}))
+    with pytest.raises(ValueError, match="stage row longer than stage count"):
+        tableau_from_json(_json_file(tmp_path, {"a": [[], [1, 0, 0]], "b": [0.5, 0.5]}))
 
 
 def test_tableau_from_json_takes_a_path_not_json_text(tmp_path, monkeypatch):
