@@ -2,25 +2,26 @@
 
 Subcommands map onto the library modules: coeffs (stencil), trajectory
 (spectrum), tableau check (timeint), index-sweep and threshold (fulldisc),
-wave-spectrum and wave-classify (wavesys), simulate (molsim).  Output is
-CSV with a header row, comma separator and LF line endings, or small JSON
-objects.  Every CSV goes through one column-wise writer: each cell is the
-shortest round-trip repr of its float (or the digits of its integer),
-formatted once per column, and a column equal in bytes to the same column
-of the command's previous file (trajectory's theta and im, simulate's x)
-reuses that file's cells.  The bytes are those of earlier versions, which
-formatted row by row.  File-writing runs also emit a run manifest JSON
-(command, parameters, version, outputs, duration) next to the outputs, and
-all files are written atomically (temp file plus rename).  Each ``cmd_*``
-function yields (path or None, text) pairs; :func:`_run_command` sends
-None to stdout, writes every path as it arrives and then writes the one
-manifest.
+wave-spectrum and wave-classify (wavesys), simulate and wave-simulate
+(molsim).  Output is CSV with a header row, comma separator and LF line
+endings, or small JSON objects.  Every CSV goes through one column-wise
+writer: each cell is the shortest round-trip repr of its float (or the
+digits of its integer), formatted once per column, and a column equal in
+bytes to the same column of the command's previous file (trajectory's
+theta and im, simulate's x) reuses that file's cells.  The bytes are those
+of earlier versions, which formatted row by row.  File-writing runs also
+emit a run manifest JSON (command, parameters, version, outputs, duration)
+next to the outputs, and all files are written atomically (temp file plus
+rename).  Each ``cmd_*`` function yields (path or None, text) pairs;
+:func:`_run_command` sends None to stdout, writes every path as it arrives
+and then writes the one manifest.
 
-Each flag is declared once.  Subcommands that share flags take them from
-four parent parsers: ``ade`` carries --dx and --dxx (trajectory); ``run``
-adds --tableau and --nu (simulate); ``spectral`` adds --mode and --out
-(index-sweep, threshold); ``wave`` carries --dx-minus, --dx-plus and --dxx
-(wave-spectrum, wave-classify).
+Each flag is declared once, and the parser alone says which flags a
+command takes.  Shared flags come from five parent parsers: ``ade``
+(--dx, --dxx), ``stepper`` (--tableau, --nu), ``spectral`` (ade, stepper
+and --out; index-sweep, threshold), ``sim`` (stepper and the run flags
+--mu, --n, --t-final, --snapshot-times, --blowup-limit, --out; simulate,
+wave-simulate) and ``wave`` (--dx-minus, --dx-plus, --dxx).
 
 Exit codes: 0 success, 2 usage or validation error, 3 internal error.
 """
@@ -45,7 +46,7 @@ DEFAULT_R_LIST = "0.1,1,10"
 # Commands whose --out is a file-name prefix; for the others it names the
 # one output file.  The manifest goes to out + "manifest.json" for the
 # former and out + ".manifest.json" for the latter.
-_PREFIX_COMMANDS = ("trajectory", "simulate")
+_PREFIX_COMMANDS = ("trajectory", "simulate", "wave-simulate")
 
 
 def _fmt(x) -> str:
@@ -225,14 +226,20 @@ def cmd_tableau_check(args):
     yield None, json.dumps(info, sort_keys=True) + "\n"
 
 
-def cmd_index_sweep(args):
-    mode = fulldisc.SweepMode(args.mode)
-    flag, control = (("--mu", args.mu) if mode is fulldisc.SweepMode.FIXED_MU
-                     else ("--mu-nu", args.mu_nu))
-    if control is None:
-        raise ValueError(f"{mode.value} sweep needs {flag}")
+def _spectral_inputs(args, mode: fulldisc.SweepMode):
+    """(dx, dxx, tableau) of index-sweep and threshold.  In fixed-mu mode
+    --nu is only a viscosity, which the spectrum would drop unread without
+    --dxx; in fixed-mu-nu mode it also sets dt."""
     dx, dxx = _ade_operators(args)
-    tab = _resolve_tableau(args.tableau)
+    if mode is fulldisc.SweepMode.FIXED_MU and args.nu > 0 and dxx is None:
+        raise ValueError("nonzero viscosity needs a diffusion operator")
+    return dx, dxx, _resolve_tableau(args.tableau)
+
+
+def cmd_index_sweep(args):
+    mode, control = ((fulldisc.SweepMode.FIXED_MU, args.mu) if args.mu_nu is None
+                     else (fulldisc.SweepMode.FIXED_MU_NU, args.mu_nu))
+    dx, dxx, tab = _spectral_inputs(args, mode)
     n_list = parse_int_list(args.n)
     points = fulldisc.instability_curve(dx, dxx, tab, control, n_list, mode, nu=args.nu)
     yield args.out, _CsvWriter().text(
@@ -243,10 +250,9 @@ def cmd_index_sweep(args):
 
 
 def cmd_threshold(args):
-    dx, dxx = _ade_operators(args)
-    tab = _resolve_tableau(args.tableau)
-    res = fulldisc.stable_mu_threshold(dx, dxx, tab, args.nu, args.n,
-                                       fulldisc.SweepMode(args.mode))
+    mode = fulldisc.SweepMode(args.mode)
+    dx, dxx, tab = _spectral_inputs(args, mode)
+    res = fulldisc.stable_mu_threshold(dx, dxx, tab, args.nu, args.n, mode)
     yield args.out, json.dumps(
         {"mu_star": res.mu_star, "iterations": res.iterations, "tol": res.tol},
         sort_keys=True,
@@ -276,31 +282,16 @@ def cmd_wave_classify(args):
     ) + "\n"
 
 
-def cmd_simulate(args):
+def _simulate(args, operators, n_fields: int, header: str):
+    """The run both simulate commands share: n_fields copies of the Gaussian
+    pulse stepped to --t-final, one CSV per snapshot and a summary JSON."""
     tab = _resolve_tableau(args.tableau)
     grid = fulldisc.grid_for(fulldisc.SweepMode.FIXED_MU, args.n, args.mu, args.nu)
     if args.snapshot_times:
         snaps = tuple(parse_float_list(args.snapshot_times))
     else:
         snaps = tuple(args.t_final * f for f in (0.25, 0.5, 1.0))
-    pulse = molsim.gaussian_pulse(args.n)
-    if args.system == "wave":
-        if args.dx:
-            raise ValueError("wave simulate does not take --dx")
-        if not args.dx_minus or args.dxx is None:
-            raise ValueError("wave simulate needs --dx-minus and --dxx")
-        operators = _wave_from_args(args)
-        initial = (pulse,) * 2  # make_state copies each field
-        header = "x,v,p"
-    else:
-        stray = [f for f, v in (("--dx-minus", args.dx_minus), ("--dx-plus", args.dx_plus)) if v]
-        if stray:
-            raise ValueError(f"scalar simulate does not take {' or '.join(stray)}")
-        if not args.dx:
-            raise ValueError("scalar simulate needs --dx")
-        operators = _ade_operators(args)
-        initial = (pulse,)
-        header = "x,w"
+    initial = (molsim.gaussian_pulse(args.n),) * n_fields  # make_state copies each field
     config = molsim.SimConfig(
         grid=grid, tableau=tab, operators=operators, t_final=args.t_final,
         snapshot_times=snaps, blowup_limit=args.blowup_limit,
@@ -320,16 +311,32 @@ def cmd_simulate(args):
     yield f"{args.out}summary.json", json.dumps(summary, sort_keys=True) + "\n"
 
 
+def cmd_simulate(args):
+    if not args.dx:  # optional in ade, where trajectory may go without it
+        raise ValueError("simulate needs --dx")
+    yield from _simulate(args, _ade_operators(args), 1, "x,w")
+
+
+def cmd_wave_simulate(args):
+    yield from _simulate(args, _wave_from_args(args), 2, "x,v,p")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ade = argparse.ArgumentParser(add_help=False)
     ade.add_argument("--dx", nargs=2, type=int, metavar=("L", "R"))
     ade.add_argument("--dxx", type=int, metavar="Q")
-    run = argparse.ArgumentParser(add_help=False, parents=[ade])
-    run.add_argument("--tableau", required=True)
-    run.add_argument("--nu", type=float, default=0.0)
-    spectral = argparse.ArgumentParser(add_help=False, parents=[run])
-    spectral.add_argument("--mode", choices=("fixed-mu", "fixed-mu-nu"), default="fixed-mu")
+    stepper = argparse.ArgumentParser(add_help=False)
+    stepper.add_argument("--tableau", required=True)
+    stepper.add_argument("--nu", type=float, default=0.0)
+    spectral = argparse.ArgumentParser(add_help=False, parents=[ade, stepper])
     spectral.add_argument("--out")
+    sim = argparse.ArgumentParser(add_help=False, parents=[stepper])
+    sim.add_argument("--mu", type=float, required=True)
+    sim.add_argument("--n", type=int, required=True)
+    sim.add_argument("--t-final", type=float, required=True)
+    sim.add_argument("--snapshot-times")
+    sim.add_argument("--blowup-limit", type=float, default=1e10)
+    sim.add_argument("--out", default="sim_")
     wave = argparse.ArgumentParser(add_help=False)
     wave.add_argument("--dx-minus", nargs=2, type=int, metavar=("L", "R"), required=True)
     wave.add_argument("--dx-plus", nargs=2, type=int, metavar=("L", "R"))
@@ -362,12 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index-sweep", parents=[spectral],
                        help="instability index against resolution")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--mu-nu", type=float)
+    control = p.add_mutually_exclusive_group(required=True)  # --mu-nu: fixed-mu-nu mode
+    control.add_argument("--mu", type=float)
+    control.add_argument("--mu-nu", type=float)
     p.add_argument("--n", required=True)
     p.set_defaults(func=cmd_index_sweep)
 
     p = sub.add_parser("threshold", parents=[spectral], help="first stable-to-unstable crossing")
+    p.add_argument("--mode", choices=("fixed-mu", "fixed-mu-nu"), default="fixed-mu")
     p.add_argument("--n", type=int, default=64)
     p.set_defaults(func=cmd_threshold)
 
@@ -384,17 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_wave_classify)
 
-    p = sub.add_parser("simulate", parents=[run], help="method-of-lines run from a Gaussian pulse")
-    p.add_argument("--system", choices=("ade", "wave"), default="ade")
-    p.add_argument("--dx-minus", nargs=2, type=int, metavar=("L", "R"))
-    p.add_argument("--dx-plus", nargs=2, type=int, metavar=("L", "R"))
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t-final", type=float, required=True)
-    p.add_argument("--snapshot-times")
-    p.add_argument("--blowup-limit", type=float, default=1e10)
-    p.add_argument("--out", default="sim_")
+    p = sub.add_parser("simulate", parents=[ade, sim], help="scalar run from a Gaussian pulse")
     p.set_defaults(func=cmd_simulate)
+
+    p = sub.add_parser("wave-simulate", parents=[wave, sim], help="wave run from a Gaussian pulse")
+    p.set_defaults(func=cmd_wave_simulate)
 
     return parser
 

@@ -243,13 +243,18 @@ def vietoris_check(q: int) -> bool:
     """Exact check that the diffusion symbol's sine-series coefficients
     form a Vietoris sequence.
 
-    The derivative of the diffusion symbol is -sum_{k=1..q} c_k sin(k theta)
-    with c_k = (4/k) q!^2 / ((q+k)! (q-k)!).  The ratio condition
+    The symbol is b_0 + 2 sum_{k=1..q} b_k cos(k theta), so its derivative
+    is -2 sum k b_k sin(k theta).  With b_k = 2 (-1)^(k+1) q!^2 / (k^2 (q-k)!
+    (q+k)!) and sin(k (pi - theta)) = (-1)^(k+1) sin(k theta), that is
+    -sum_{k=1..q} c_k sin(k phi) at phi = pi - theta, with
+    c_k = (4/k) q!^2 / ((q+k)! (q-k)!).  The ratio condition
     (k+1) c_{k+1} <= k c_k is verified in exact rational arithmetic.  The
     other two Vietoris conditions need no test: c_k > 0 by its formula, and
     the ratio condition gives c_{k+1} <= k/(k+1) c_k < c_k.  Together they
     put the sine series in the Vietoris class, whose partial sums are
-    positive on (0, pi), hence the symbol strictly decreases there.
+    positive for phi in (0, pi).  The reflection phi = pi - theta maps
+    (0, pi) onto itself, so the derivative is negative for theta in
+    (0, pi) and the symbol strictly decreases there.
     """
     _check_integer(q, "q")
     if q < 1:

@@ -272,11 +272,48 @@ def test_index_sweep_stable_leaves_index_blank(capsys):
 def test_index_sweep_requires_matching_control(capsys):
     code, _, err = run(capsys, "index-sweep", "--tableau", "fe",
                        "--dx", "1", "0", "--n", "32")
-    assert code == 2 and "--mu" in err
+    assert code == 2 and "one of the arguments --mu --mu-nu is required" in err
     code, _, err = run(capsys, "index-sweep", "--tableau", "fe",
                        "--dx", "1", "0", "--dxx", "1", "--nu", "0.1",
                        "--mode", "fixed-mu-nu", "--n", "32")
-    assert code == 2 and "--mu-nu" in err
+    assert code == 2 and "one of the arguments --mu --mu-nu is required" in err
+
+
+def test_index_sweep_takes_one_control(capsys, tmp_path):
+    # --mu-nu was once dropped without a word in fixed-mu mode, and --mu in
+    # fixed-mu-nu mode; the control flag given now names the mode
+    out = tmp_path / "s.csv"
+    code, stdout, err = run(capsys, "index-sweep", "--tableau", "fe", "--dx", "2", "0",
+                            "--mu", "0.03", "--mu-nu", "0.5", "--n", "32:64",
+                            "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "argument --mu-nu: not allowed with argument --mu" in err
+    code, stdout, err = run(capsys, "index-sweep", "--tableau", "fe", "--dx", "3", "1",
+                            "--dxx", "2", "--nu", "0.1", "--mode", "fixed-mu-nu",
+                            "--mu-nu", "0.4", "--n", "32", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "unrecognized arguments: --mode fixed-mu-nu" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["index-sweep", "--mu", "0.03", "--n", "32:64"],
+    ["threshold", "--n", "64"],
+], ids=["index-sweep", "threshold"])
+def test_fixed_mu_viscosity_needs_a_diffusion_operator(capsys, tmp_path, argv):
+    # a fixed-mu spectrum reads --nu only through --dxx; it was dropped unread
+    out = tmp_path / "o"
+    code, stdout, err = run(capsys, *argv, "--tableau", "fe", "--nu", "0.1",
+                            "--dx", "1", "0", "--out", str(out))
+    assert (code, stdout, err) == (2, "", "error: nonzero viscosity needs a diffusion operator\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_fixed_mu_nu_viscosity_sets_dt_without_a_diffusion_operator(capsys):
+    for argv in (["index-sweep", "--mu-nu", "0.5", "--n", "64"],
+                 ["threshold", "--mode", "fixed-mu-nu", "--n", "32"]):
+        code, _, err = run(capsys, *argv, "--tableau", "fe", "--nu", "0.1", "--dx", "1", "0")
+        assert (code, err) == (0, "")
 
 
 def test_index_sweep_unknown_tableau(capsys):
@@ -477,7 +514,7 @@ def test_simulate_scalar_outputs(capsys, tmp_path):
 def test_simulate_wave_outputs(capsys, tmp_path):
     prefix = str(tmp_path / "w_")
     code, _, _ = run(
-        capsys, "simulate", "--system", "wave", "--tableau", "rk4",
+        capsys, "wave-simulate", "--tableau", "rk4",
         "--dx-minus", "1", "0", "--dxx", "1", "--nu", "0.02",
         "--mu", "0.2", "--n", "32", "--t-final", "0.2",
         "--snapshot-times", "0.1,0.2", "--out", prefix,
@@ -488,6 +525,8 @@ def test_simulate_wave_outputs(capsys, tmp_path):
     assert len(snap[1].split(",")) == 3
     summary = json.loads((tmp_path / "w_summary.json").read_text())
     assert summary["snapshot_times"] == [0.1, 0.2]
+    man = json.loads((tmp_path / "w_manifest.json").read_text())
+    assert man["command"] == "wave-simulate" and len(man["outputs"]) == 3
 
 
 def test_simulate_blowup_summary(capsys, tmp_path):
@@ -520,8 +559,8 @@ def test_simulate_argument_validation(capsys, tmp_path):
             "--t-final", "1", "--out", str(tmp_path / "x_")]
     code, _, err = run(capsys, *base)
     assert code == 2 and "--dx" in err
-    code, _, err = run(capsys, *base[:1], "--system", "wave", *base[1:])
-    assert code == 2 and "--dx-minus" in err
+    code, _, err = run(capsys, "wave-simulate", *base[1:])
+    assert code == 2 and "the following arguments are required: --dx-minus, --dxx" in err
     code, _, err = run(capsys, "simulate", "--tableau", "rk4",
                        "--dx", "1", "0", "--mu", "-1", "--n", "32",
                        "--t-final", "1", "--out", str(tmp_path / "x_"))
@@ -529,17 +568,26 @@ def test_simulate_argument_validation(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--dx", "1", "0", "--dx-minus", "2", "1", "--dx-plus", "5", "5"],
-     "scalar simulate does not take --dx-minus or --dx-plus"),
-    (["--dx", "1", "0", "--dx-plus", "1", "2"], "scalar simulate does not take --dx-plus"),
-    (["--system", "wave", "--dx-minus", "1", "0", "--dxx", "1", "--dx", "9", "9"],
-     "wave simulate does not take --dx"),
-], ids=["ade-dx-minus-dx-plus", "ade-dx-plus", "wave-dx"])
+    (["simulate", "--dx", "1", "0", "--dx-minus", "2", "1", "--dx-plus", "5", "5"],
+     "fdmlab: error: unrecognized arguments: --dx-minus 2 1 --dx-plus 5 5"),
+    (["simulate", "--dx", "1", "0", "--dx-plus", "1", "2"],
+     "fdmlab: error: unrecognized arguments: --dx-plus 1 2"),
+    (["simulate", "--dx-minus", "2", "1", "--dxx", "1"],
+     "fdmlab: error: unrecognized arguments: --dx-minus 2 1"),
+    (["wave-simulate", "--dx-minus", "1", "0", "--dxx", "1", "--dx", "9", "9"],
+     "fdmlab wave-simulate: error: ambiguous option: --dx could match"),
+    (["wave-simulate", "--dx", "1", "0", "--dxx", "1"],
+     "fdmlab wave-simulate: error: ambiguous option: --dx could match"),
+    (["simulate", "--system", "wave", "--dx-minus", "1", "0", "--dxx", "1"],
+     "fdmlab: error: unrecognized arguments: --system wave --dx-minus 1 0"),
+], ids=["ade-dx-minus-dx-plus", "ade-dx-plus", "ade-dx-minus", "wave-dx", "wave-dx-only",
+        "system-flag"])
 def test_simulate_refuses_the_other_systems_flags(capsys, tmp_path, argv, message):
     # the flags of the system not run were once dropped without a word
-    code, out, err = run(capsys, "simulate", "--tableau", "rk4", *argv, "--mu", "0.5",
+    code, out, err = run(capsys, *argv, "--tableau", "rk4", "--mu", "0.5",
                          "--n", "16", "--t-final", "0.1", "--out", str(tmp_path / "x_"))
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out) == (2, "")
+    assert message in err
     assert not list(tmp_path.iterdir())
 
 
@@ -742,7 +790,7 @@ BYTE_PINS = [
         "<stdout>": "8ff208a3858de6ebf083d3d30cdf5e8bf89b2ea3fcf02b872c6536f454da52f8",
     }),
     (["index-sweep", "--tableau", "rk4", "--dx", "3", "1", "--dxx", "2", "--nu", "0.05",
-      "--mode", "fixed-mu-nu", "--mu-nu", "0.2", "--n", "16:64", "--out", "{d}/s.csv"],
+      "--mu-nu", "0.2", "--n", "16:64", "--out", "{d}/s.csv"],
      "s.csv.manifest.json", {
         "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "s.csv": "89e4c68d75c69b767bbde91237b624f2217d081b7be2ef63f274ed69a7344ec9",
@@ -781,7 +829,7 @@ BYTE_PINS = [
         "a_snap_002.csv": "c9d3380303c785f4d5861bee9fd466f5c5adab46548240add1064b8090ed0c43",
         "a_summary.json": "8270db86ab826c40854598e9a8fcb3ae68219ffb8857535c8b52d3f70677de97",
     }),
-    (["simulate", "--system", "wave", "--tableau", "rk3", "--dx-minus", "2", "1",
+    (["wave-simulate", "--tableau", "rk3", "--dx-minus", "2", "1",
       "--dxx", "1", "--nu", "0.02", "--mu", "0.2", "--n", "24", "--t-final", "0.2",
       "--snapshot-times", "0,0.05,0.2", "--out", "{d}/v_"], "v_manifest.json", {
         "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

@@ -222,6 +222,11 @@ def test_threshold_diffusion_mode():
         stable_mu_threshold(None, build_dxx(1), get_tableau("fe"), 0.0, 64)
 
 
+def test_method_must_be_a_tableau_or_polynomial():
+    with pytest.raises(TypeError, match="^expected a ButcherTableau or StabilityPolynomial$"):
+        stable_mu_threshold(build_dx(1, 0), None, [1, 1], 0.0, 32)
+
+
 def test_threshold_not_found_cases():
     # anti-damped one-sided operator: unstable already at the seed
     with pytest.raises(ThresholdNotFoundError):

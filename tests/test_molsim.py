@@ -398,6 +398,11 @@ def test_config_validation():
             operators=build_dx(1, 0),
             t_final=1.0,
         )
+    for limit in (math.nan, 0.0):
+        with pytest.raises(ValueError, match="^blow-up limit must be positive$"):
+            scalar_config((1, 0), 0, 0.0, 0.5, 32, blowup_limit=limit)
+    with pytest.raises(ValueError, match="^scalar config needs an advection operator$"):
+        SimConfig(GridConfig(32, 0.1, dt=0.01), get_tableau("fe"), (None, build_dxx(1)), 1.0)
     # a first-derivative "diffusion" term would be scaled by n, not n^2
     for ops, kind in [((build_dx(1, 0), build_dx(2, 0)), "second-derivative"),
                       ((build_dxx(2), None), "first-derivative")]:

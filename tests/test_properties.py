@@ -313,13 +313,13 @@ def test_wave_spectrum_csv_round_trips(lm, lp, q, r, n):
 def test_simulate_csv_round_trips(name, wave, n, mu, nu):
     dx31 = build_dx(3, 1)
     if wave:
-        flags = ["--system", "wave", "--dx-minus", "3", "1", "--dxx", "2"]
+        flags = ["wave-simulate", "--dx-minus", "3", "1", "--dxx", "2"]
         operators, initial = WaveDiscretization(dx31, mirror(dx31), build_dxx(2)), 2
     else:
-        flags = ["--dx", "3", "1", "--dxx", "2"]
+        flags = ["simulate", "--dx", "3", "1", "--dxx", "2"]
         operators, initial = (dx31, build_dxx(2)), 1
     with tempfile.TemporaryDirectory() as tmp:
-        assert cli.main(["simulate", "--tableau", name, *flags, "--nu", repr(nu),
+        assert cli.main([*flags, "--tableau", name, "--nu", repr(nu),
                          "--mu", repr(mu), "--n", str(n), "--t-final", "0.5",
                          "--out", f"{tmp}/s_"]) == 0
         snaps = [csv_columns(p) for p in sorted(Path(tmp).glob("s_snap_*.csv"))]

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -149,6 +150,30 @@ def test_diffusion_negative_and_vietoris():
         vietoris_check(0)
 
 
+def test_vietoris_series_is_the_reflected_derivative():
+    # the derivative -2 sum k b_k sin(k theta) of the diffusion symbol is
+    # -sum c_k sin(k (pi - theta)) with vietoris_check's c_k; the unreflected
+    # -sum c_k sin(k theta) differs from it for every q >= 2
+    th = np.random.default_rng(23).uniform(0.1, 3.0, 16)
+    h = 1e-6
+    for q in range(1, 9):
+        b = build_dxx(q).coeffs[q + 1:]  # b_1..b_q, exact
+        c = [F(4 * math.factorial(q) ** 2, k * math.factorial(q + k) * math.factorial(q - k))
+             for k in range(1, q + 1)]
+        assert [2 * k * bk for k, bk in enumerate(b, 1)] == [
+            (-1) ** (k + 1) * ck for k, ck in enumerate(c, 1)]
+        k = np.arange(1, q + 1)[:, None]
+        deriv = -2.0 * np.sum(k * np.array(b, dtype=float)[:, None] * np.sin(k * th), axis=0)
+        cf = np.array(c, dtype=float)[:, None]
+        reflected = -np.sum(cf * np.sin(k * (np.pi - th)), axis=0)
+        np.testing.assert_allclose(reflected, deriv, rtol=0, atol=1e-13)
+        dxx = build_dxx(q)
+        central = (diffusion_symbol(dxx, th + h) - diffusion_symbol(dxx, th - h)) / (2 * h)
+        np.testing.assert_allclose(deriv, central, rtol=0, atol=1e-6)
+        stated = -np.sum(cf * np.sin(k * th), axis=0)
+        assert (q == 1) == np.allclose(stated, deriv, rtol=0, atol=1e-6)
+
+
 @pytest.mark.parametrize("q", [2.0, True])
 def test_vietoris_order_must_be_an_integer(q):
     # True read as q = 1 and 2.0 raised TypeError from math.factorial
@@ -167,6 +192,9 @@ def test_asymptotic_exponent(left, right):
 def test_asymptotic_exponent_argument_forms():
     with pytest.raises(ValueError):
         asymptotic_exponent(build_dx(2, 2))
+    # an upwind real part of order theta^104 underflows to 0 at theta = 1e-3
+    with pytest.raises(ValueError, match="^sampled real part is not negative$"):
+        asymptotic_exponent(build_dx(52, 51))
 
 
 def test_semidiscrete_damping_margin():

@@ -145,6 +145,8 @@ def test_operator_helpers():
     np.testing.assert_allclose(op.coeffs_float, [1 / 6, -1.0, 0.5, 1 / 3])
     assert not op.coeffs_float.flags.writeable
     assert "dx" in repr(op)
+    with pytest.raises(ValueError, match="^coefficient count does not match stencil width$"):
+        FdOperator(op.spec, (F(1),))
 
 
 def test_large_extent_stays_exact():

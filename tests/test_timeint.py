@@ -92,6 +92,11 @@ def test_from_rows_validation():
         ButcherTableau.from_rows([[], [1], [5, 5]], [1])  # not forward Euler
 
 
+def test_tableau_needs_a_stage():
+    with pytest.raises(ValueError, match="^tableau needs at least one stage$"):
+        ButcherTableau((), ())
+
+
 def test_get_tableau_unknown_name():
     with pytest.raises(KeyError):
         get_tableau("rk17")
@@ -99,6 +104,8 @@ def test_get_tableau_unknown_name():
 
 def test_stability_polynomial_validation():
     assert StabilityPolynomial((1.0,)).degree == 0
+    with pytest.raises(ValueError, match="^empty polynomial$"):
+        StabilityPolynomial(())
     with pytest.raises(ValueError):
         StabilityPolynomial((2.0, 1.0))
     with pytest.raises(ValueError):
