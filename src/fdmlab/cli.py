@@ -182,14 +182,7 @@ def _ade_operators(args) -> tuple[FdOperator | None, FdOperator | None]:
 
 
 def cmd_coeffs(args):
-    if args.kind == "dx":
-        if len(args.extent) != 2:
-            raise ValueError("coeffs dx takes two extents: L R")
-        op = build_dx(*args.extent)
-    else:
-        if len(args.extent) != 1:
-            raise ValueError("coeffs dxx takes one half-width: Q")
-        op = build_dxx(*args.extent)
+    op = (build_dx if args.kind == "dx" else build_dxx)(*args.extent)
     yield args.out, _CsvWriter().text(
         "k,numerator,denominator,float", np.arange(-op.left, op.right + 1),
         [c.numerator for c in op.coeffs], [c.denominator for c in op.coeffs],
@@ -203,6 +196,8 @@ def cmd_trajectory(args):
     r_list = parse_float_list(args.r_list)
     if any(r < 0 for r in r_list):
         raise ValueError("R values must be non-negative")
+    if len({_fmt(r) for r in r_list}) < len(r_list):  # one file name per R
+        raise ValueError("R values must be distinct")
     # theta is the same in every file, and so is im wherever R is finite
     csv = _CsvWriter()
     for (l, r), q in configs:
@@ -287,7 +282,7 @@ def _simulate(args, operators, n_fields: int, header: str):
     pulse stepped to --t-final, one CSV per snapshot and a summary JSON."""
     tab = _resolve_tableau(args.tableau)
     grid = fulldisc.grid_for(fulldisc.SweepMode.FIXED_MU, args.n, args.mu, args.nu)
-    if args.snapshot_times:
+    if args.snapshot_times is not None:
         snaps = tuple(parse_float_list(args.snapshot_times))
     else:
         snaps = tuple(args.t_final * f for f in (0.25, 0.5, 1.0))
@@ -350,10 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="stencil coefficients as exact rationals")
-    p.add_argument("kind", choices=("dx", "dxx"))
-    p.add_argument("extent", nargs="+", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_coeffs)
+    csub = p.add_subparsers(dest="kind", required=True)
+    for kind, names in (("dx", ("L", "R")), ("dxx", ("Q",))):
+        pc = csub.add_parser(kind, help=f"{kind} stencil of extent {' '.join(names)}")
+        for name in names:  # each extent appends to one list, args.extent
+            pc.add_argument("extent", metavar=name, type=int, action="append")
+        pc.add_argument("--out")
+        pc.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("trajectory", parents=[ade], help="symbol curve samples, one CSV per R")
     p.add_argument("--r-list", default=DEFAULT_R_LIST)

@@ -8,15 +8,13 @@ TOL_STABLE for the spectral radius rho, else index log10(rho - 1), so an inf
 or NaN rho is unstable.  The lambda_R(s_k) do not depend on the step ratio,
 so a threshold search computes them once and re-evaluates only p per probe.
 
-One private helper, ``_grid_spectra``, computes every grid spectrum.  The
-angles 2 pi k / n of n cells are bit for bit every 2^j-th angle of n * 2^j
-cells (scaling by 2^j is exact), so a resolution sweep evaluates the
-advection and diffusion symbols once per chain n, 2n, 4n, ... on its
-finest grid, and each coarser grid slices them.  The slices keep their
-bits: a symbol's value at an angle depends on the angle alone (see
-``spectrum``; the bit-identity tests pin it), and lambda_R = adv + R * dif
-is taken element by element with each grid's own R.
-:func:`semidiscrete_eigs` is the one-grid case.
+One private helper, ``_grid_spectrum``, computes every grid spectrum as
+the DFT of the stencil wrapped onto the grid: one ``np.fft.rfft`` per
+operator gives lambda_R at the modes k = 0..n/2, and a grid's values depend
+on its operators and n alone.  The stencil is real, so mode n - k is the
+conjugate of mode k and p, whose coefficients are real, has the same
+modulus there: the verdicts read the half spectrum, and
+:func:`semidiscrete_eigs` mirrors it into the whole.
 """
 
 from __future__ import annotations
@@ -160,31 +158,28 @@ def grid_for(mode: SweepMode, n_cells: int, control: float, nu: float) -> GridCo
     return GridConfig(n_cells, nu, dt)
 
 
-def _grid_spectra(dx: FdOperator | None, dxx: FdOperator | None, grids):
-    """Yield lambda_R at the grid angles of each grid, in order.
+def _grid_spectrum(dx: FdOperator | None, dxx: FdOperator | None,
+                   grid: GridConfig) -> np.ndarray:
+    """lambda_R at the modes k = 0..n//2 of the grid, mode 0 exactly 0.
 
-    The grids share nu and have n * 2^j cells for increasing j.  The
-    symbols are evaluated once, at the finest grid's angles, and each
-    coarser grid slices them; every slice equals that grid's own
-    evaluation bit for bit, for every stencil (see the module docstring).
-    The finest grid comes last, so its symbol parts are freed before the
-    caller evaluates a polynomial on its lambda_R.  R = 0 drops the
-    diffusion term.
+    Each operator's coefficients are wrapped onto the n cells, so a
+    stencil wider than the grid adds onto itself, and one ``rfft`` takes
+    their DFT: advection puts a_j in cell -j mod n and gives -rfft,
+    diffusion puts b_j in cell j mod n and gives the real part.  R = 0
+    drops the diffusion term.
     """
-    finest = grids[-1]
-    n = finest.n_cells
-    th = spectrum.grid_angles(n)
-    adv = None if dx is None else spectrum.advection_symbol(dx, th)
-    dif = None if dxx is None or finest.r == 0 else spectrum.diffusion_symbol(dxx, th)
-    del th
-    for grid in grids[:-1]:
-        step = n // grid.n_cells
-        part = slice(step - 1, None, step)
-        yield spectrum._combine(None if adv is None else adv[part],
-                                None if dif is None else dif[part], grid.r)
-    lam = spectrum._combine(adv, dif, finest.r)
-    del adv, dif
-    yield lam
+    n = grid.n_cells
+
+    def wrapped(op: FdOperator, sign: int) -> np.ndarray:
+        cells = np.zeros(n)
+        np.add.at(cells, sign * op.offsets % n, op.coeffs_float)
+        return np.fft.rfft(cells)
+
+    adv = None if dx is None else -wrapped(dx, -1)
+    dif = None if dxx is None or grid.r == 0 else wrapped(dxx, 1).real
+    lam = spectrum._combine(adv, dif, grid.r)
+    lam[0] = 0.0
+    return lam
 
 
 def semidiscrete_eigs(dx: FdOperator | None, dxx: FdOperator | None,
@@ -193,11 +188,12 @@ def semidiscrete_eigs(dx: FdOperator | None, dxx: FdOperator | None,
 
     Either operator may be None (term absent), and R = 0 drops the
     diffusion term; with no term left a ValueError is raised.  The k = n
-    entry is exactly 0 by consistency.  The symbols bound their own memory
-    per block of angles.
+    entry is exactly 0 by consistency, and entry n - k is the conjugate of
+    entry k bit for bit.
     """
-    [lam] = _grid_spectra(dx, dxx, [grid])
-    return lam
+    half = _grid_spectrum(dx, dxx, grid)
+    mirrored = half[(grid.n_cells + 1) // 2 - 1 : 0 : -1].conj()
+    return np.concatenate((half[1:], mirrored, half[:1]))
 
 
 def _report(p: StabilityPolynomial, z: np.ndarray, mod=None) -> SpectrumReport:
@@ -226,31 +222,19 @@ def instability_curve(dx: FdOperator | None, dxx: FdOperator | None,
     ``method`` is a tableau or its stability polynomial.  Entries keep the
     input order; index None marks resolutions stable at tolerance (a curve
     "breaks" where a tail of Nones begins).
-
-    Resolutions n, 2n, 4n, ... form one chain whose symbols are evaluated
-    once, on its finest grid, so "a:b" costs one symbol evaluation at b
-    cells, with the bits of one evaluation per resolution (see the module
-    docstring).  A chain holds its finest grid's symbol parts while its
-    coarser points are computed.
     """
     p = _as_poly(method)
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("resolutions must be strictly increasing")
-    chains: dict[int, list[GridConfig]] = {}
-    for n in n_list:
-        grid = grid_for(mode, n, control, nu)  # refuses n < 4 before its odd part is taken
-        chains.setdefault(n // (n & -n), []).append(grid)
-    points = {}
-    for chain in chains.values():
-        spectra = _grid_spectra(dx, dxx, chain)
-        for grid in chain:
-            lam = next(spectra)
-            rep = _report(p, np.multiply(grid.mu, lam, out=lam))
-            points[grid.n_cells] = SweepPoint(grid.n_cells, control, rep.rho,
-                                              rep.instability_index)
-            del lam, rep  # this grid's arrays go before the next grid's are built
-    return [points[n] for n in n_list]
+    grids = [grid_for(mode, n, control, nu) for n in n_list]
+    points = []
+    for grid in grids:
+        lam = _grid_spectrum(dx, dxx, grid)
+        rep = _report(p, np.multiply(grid.mu, lam, out=lam))
+        points.append(SweepPoint(grid.n_cells, control, rep.rho, rep.instability_index))
+        del lam, rep  # this grid's arrays go before the next grid's are built
+    return points
 
 
 def stable_mu_threshold(dx: FdOperator | None, dxx: FdOperator | None,
@@ -261,12 +245,12 @@ def stable_mu_threshold(dx: FdOperator | None, dxx: FdOperator | None,
     Seeds at 1e-8, doubles until instability (giving up past 1e9), then
     bisects the bracket to relative width 1e-6, reported as ``tol``.  A
     scan past the crossing sets ``stable_beyond`` when stability reappears
-    at larger values.  The lambda_k are computed once; each probe reads
-    the verdict on p(mu * lambda), scaling into and taking moduli in buffers
-    allocated once per search.
+    at larger values.  The lambda_k at modes 0..n/2 are computed once;
+    each probe reads the verdict on p(mu * lambda), scaling into and
+    taking moduli in buffers allocated once per search.
     """
     p = _as_poly(method)
-    lam = semidiscrete_eigs(dx, dxx, grid_for(mode, n_cells, _SEED, nu))
+    lam = _grid_spectrum(dx, dxx, grid_for(mode, n_cells, _SEED, nu))
     z = np.empty_like(lam)
     mod = np.empty(lam.shape)
     iterations = 0

@@ -13,7 +13,8 @@ the diffusion part contributes the real, even function
 and the combined symbol for reciprocal cell Reynolds number R is
 lambda_R = lambda_0 + R * lambda_inf, added up by ``_combine`` alone, for
 the sampled curves of :func:`ade_symbol` and the grid spectra of
-``fulldisc``.  Everything here is plain double precision except where
+``fulldisc._grid_spectrum``, which come from an FFT and do not call the
+evaluators here.  Everything here is plain double precision except where
 cancellation would destroy the result: the real part of lambda_0 behaves
 like -c * theta^(2*left) near theta = 0, far below summation roundoff
 for wide stencils, so sign-critical paths use the closed-form sine-power
@@ -174,8 +175,9 @@ def _combine(adv, dif, r: float):
     """lambda_R = adv + R * dif from symbol values, for finite R >= 0.
 
     ``adv`` and ``dif`` are advection and diffusion symbol values at the
-    same angles, or None for an absent term, not both.  The one place the
-    two parts are added, for :func:`ade_symbol` and the grid spectra.
+    same angles or grid modes, or None for an absent term, not both.  The one place the
+    two parts are added, for :func:`ade_symbol` and
+    ``fulldisc._grid_spectrum``.
     """
     if adv is None and dif is None:
         raise ValueError("at least one active operator is required")

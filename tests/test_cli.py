@@ -136,9 +136,9 @@ def test_coeffs_bad_extent(capsys):
     code, _, err = run(capsys, "coeffs", "dx", "0", "0")
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "coeffs", "dx", "1")
-    assert code == 2 and "two extents" in err
+    assert code == 2 and "required: R" in err
     code, _, err = run(capsys, "coeffs", "dxx", "1", "2")
-    assert code == 2 and "one half-width" in err
+    assert code == 2 and "unrecognized arguments: 2" in err
 
 
 # ---------------------------------------------------------- trajectory
@@ -181,6 +181,14 @@ def test_trajectory_rejects_negative_r(capsys, tmp_path):
     code, _, err = run(capsys, "trajectory", "--r-list", "-1",
                        "--out", str(tmp_path / "x_"))
     assert code == 2 and "non-negative" in err
+
+
+def test_trajectory_rejects_r_values_with_one_file_name(capsys, tmp_path):
+    # 1 and 1.0 both name a file ..._R1.0.csv, which was written twice
+    code, _, err = run(capsys, "trajectory", "--dx", "1", "0", "--dxx", "1",
+                       "--r-list", "1,1.0", "--samples", "8", "--out", str(tmp_path / "t_"))
+    assert code == 2 and "R values must be distinct" in err
+    assert not list(tmp_path.iterdir())
 
 
 # ------------------------------------------------------------- tableau
@@ -609,6 +617,19 @@ def test_simulate_rejects_non_finite_times(capsys, tmp_path, extra, field):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command,operators", [
+    ("simulate", ["--dx", "1", "0"]),
+    ("wave-simulate", ["--dx-minus", "1", "0", "--dxx", "1"]),
+])
+def test_simulate_rejects_empty_snapshot_times(capsys, tmp_path, command, operators):
+    # an empty list once fell back to the default snapshots without a word
+    code, _, err = run(capsys, command, "--tableau", "rk4", *operators, "--mu", "0.5",
+                       "--n", "16", "--t-final", "0.1", "--snapshot-times", "",
+                       "--out", str(tmp_path / "x_"))
+    assert code == 2 and "empty list" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_rerun_is_byte_identical(capsys, tmp_path):
     argv = ["simulate", "--tableau", "rk2", "--dx", "2", "1", "--dxx", "1",
             "--nu", "0.05", "--mu", "0.3", "--n", "24", "--t-final", "0.25"]
@@ -842,6 +863,10 @@ BYTE_PINS = [
       "--t-final", "50", "--out", "{d}/b_"], "b_manifest.json", {
         "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "b_summary.json": "4319db008f21dd855c05f3068f0c70cbf0ce8e0d5b4a5709d5f049ec88ba5ca9",
+    }),
+    (["coeffs", "dx", "21", "20", "--out", "{d}/x.csv"], "x.csv.manifest.json", {
+        "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "x.csv": "c8ca1882f89001166f16eab351635756c48bb75466ad60301828b79263223de6",
     }),
 ]
 

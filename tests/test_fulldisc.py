@@ -16,15 +16,12 @@ from fdmlab import (
     build_dx,
     build_dxx,
     builtin_tableaux,
-    advection_symbol,
-    diffusion_symbol,
     full_spectrum,
     fulldisc,
     get_tableau,
     grid_for,
     instability_curve,
     semidiscrete_eigs,
-    spectrum,
     stability_polynomial,
     stable_mu_threshold,
 )
@@ -80,41 +77,24 @@ def test_semidiscrete_eigs_requires_an_operator():
     assert eig[-1] == 0.0
 
 
-def _chunk_loop_eigs(dx, dxx, grid, chunk=1 << 16):
-    """semidiscrete_eigs as it was when it split the grid into chunks
-    itself: a fresh zero array per chunk, the last entry set to 0."""
-    r = grid.r
-    n = grid.n_cells
-    out = np.zeros(n, dtype=complex)
-    for start in range(0, n, chunk):
-        k = np.arange(start + 1, min(start + chunk, n) + 1)
-        th = 2.0 * math.pi * k / n
-        lam = np.zeros(len(k), dtype=complex)
-        if dx is not None:
-            lam += advection_symbol(dx, th)
-        if dxx is not None and r != 0:
-            lam += r * diffusion_symbol(dxx, th)
-        out[start : start + len(k)] = lam
-    out[-1] = 0.0
-    return out
-
-
-@pytest.mark.parametrize("n", [2**16 + 3, 2**17])
-@pytest.mark.parametrize(
-    "dx,dxx,nu",
-    [((21, 20), None, 0.0), ((21, 20), 20, 0.01), ((3, 1), 2, 1e-3), (None, 2, 0.1)],
-)
-def test_semidiscrete_eigs_bit_identical_to_chunk_loop(dx, dxx, nu, n):
-    dx = None if dx is None else build_dx(*dx)
-    dxx = None if dxx is None else build_dxx(dxx)
-    grid = GridConfig(n, nu, dt=0.1 / n)
-    got = semidiscrete_eigs(dx, dxx, grid)
-    assert got.tobytes() == _chunk_loop_eigs(dx, dxx, grid).tobytes()
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 255, 4096, 65537])
+def test_semidiscrete_eigs_mirror_exactly(n):
+    # entry n - k is the conjugate of entry k bit for bit; the k = n/2
+    # entry of an even grid is its own mirror, so it is real
+    lam = semidiscrete_eigs(build_dx(3, 1), build_dxx(2), GridConfig(n, 0.1, dt=0.1 / n))
+    k = np.arange(1, (n + 1) // 2)  # every k < n - k
+    assert lam[k - 1].tobytes() == lam[n - k - 1].conj().tobytes()
+    if n % 2 == 0:
+        assert lam[n // 2 - 1].imag == 0.0
+    assert lam[-1] == 0.0
 
 
 @pytest.mark.parametrize(
     "lr,q,nu,n",
-    [((1, 0), 1, 0.0, 12), ((3, 1), 2, 0.5, 16), ((2, 1), 1, 0.05, 25), ((5, 4), 3, 1.0, 8)],
+    [((1, 0), 1, 0.0, 12), ((3, 1), 2, 0.5, 16), ((2, 1), 1, 0.05, 25), ((5, 4), 3, 1.0, 8),
+     # stencils wider than the grid wrap onto it several times over
+     ((21, 20), 5, 0.05, 4), ((21, 20), 5, 0.1, 5), ((21, 20), 5, 0.02, 7),
+     ((21, 20), 5, 0.03, 16)],
 )
 def test_semidiscrete_matches_dense_oracle(lr, q, nu, n):
     dx, dxx = build_dx(*lr), build_dxx(q)
@@ -285,33 +265,23 @@ def test_threshold_matches_per_probe_rebuild(lr, mode, n):
 
 
 def test_threshold_computes_eigenvalues_once(monkeypatch):
+    # one grid spectrum per search and one per grid of a sweep
     calls = []
 
     def counting(*args):
-        calls.append(args)
-        return semidiscrete_eigs(*args)
+        calls.append(args[2].n_cells)
+        return grid_spectrum(*args)
 
-    monkeypatch.setattr(fulldisc, "semidiscrete_eigs", counting)
+    grid_spectrum = fulldisc._grid_spectrum
+    monkeypatch.setattr(fulldisc, "_grid_spectrum", counting)
     stable_mu_threshold(build_dx(3, 1), None, RK4, 0.0, 64)
-    assert len(calls) == 1
+    assert calls == [64]
     stable_mu_threshold(build_dx(1, 0), build_dxx(2), FE, 0.1, 64, SweepMode.FIXED_MU_NU)
-    assert len(calls) == 2
-
-
-def test_sweep_evaluates_each_chain_once(monkeypatch):
-    angles = []
-
-    def counting(*args):
-        angles.append(np.size(args[1]))
-        return advection_symbol(*args)
-
-    monkeypatch.setattr(spectrum, "advection_symbol", counting)
-    dx = build_dx(2, 0)
-    instability_curve(dx, None, FE, 0.03, [2**k for k in range(5, 13)], SweepMode.FIXED_MU)
-    assert angles == [4096]
-    angles.clear()
-    instability_curve(dx, None, FE, 0.03, [24, 32], SweepMode.FIXED_MU)
-    assert sorted(angles) == [24, 32]  # 24 = 3 * 8 is not in the 32-cell grid
+    assert calls == [64, 64]
+    calls.clear()
+    ns = [2**k for k in range(5, 13)] + [5000]
+    instability_curve(build_dx(2, 0), None, FE, 0.03, ns, SweepMode.FIXED_MU)
+    assert calls == ns
 
 
 def _probe_is_stable(monkeypatch, dx, dxx, p, nu, n, mode, control):
