@@ -196,13 +196,12 @@ def semidiscrete_eigs(dx: FdOperator | None, dxx: FdOperator | None,
     return np.concatenate((half[1:], mirrored, half[:1]))
 
 
-def _report(p: StabilityPolynomial, z: np.ndarray, mod=None) -> SpectrumReport:
+def _report(p: StabilityPolynomial, z: np.ndarray) -> SpectrumReport:
     """The one verdict: p(z) on a scaled spectrum z = mu * lambda, its radius
-    and index by the module's rule; an overflowing p reads unstable, unwarned.
-    The moduli go to ``mod`` if given, a float buffer shaped like z."""
+    and index by the module's rule; an overflowing p reads unstable, unwarned."""
     with np.errstate(over="ignore", invalid="ignore"):
         vals = eval_p(p, z)
-        rho = float(np.max(np.abs(vals, out=mod)))
+        rho = float(np.max(np.abs(vals)))
     index = None if rho - 1.0 <= TOL_STABLE else math.log10(rho - 1.0)
     return SpectrumReport(vals, rho, index)
 
@@ -246,18 +245,15 @@ def stable_mu_threshold(dx: FdOperator | None, dxx: FdOperator | None,
     bisects the bracket to relative width 1e-6, reported as ``tol``.  A
     scan past the crossing sets ``stable_beyond`` when stability reappears
     at larger values.  The lambda_k at modes 0..n/2 are computed once;
-    each probe reads the verdict on p(mu * lambda), scaling into and
-    taking moduli in buffers allocated once per search.
+    each probe reads the verdict on p(mu * lambda).
     """
     p = _as_poly(method)
     lam = _grid_spectrum(dx, dxx, grid_for(mode, n_cells, _SEED, nu))
-    z = np.empty_like(lam)
-    mod = np.empty(lam.shape)
     iterations = 0
 
     def stable(control: float) -> bool:
         mu = grid_for(mode, n_cells, control, nu).mu
-        return _report(p, np.multiply(mu, lam, out=z), mod).instability_index is None
+        return _report(p, mu * lam).instability_index is None
 
     if not stable(_SEED):
         raise ThresholdNotFoundError("unstable for all tested mu")

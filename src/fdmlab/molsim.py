@@ -11,14 +11,16 @@ Each periodic stencil is applied as one gather: a (w, N) index array
 neighbor at once, the rows are multiplied by a (w, N) array of their
 weights (stored already broadcast, so the product is a same-shape
 multiply), summed in offset order, and the sum is scaled in place by
-N^p.  The scalar equation's advection gather folds the minus sign of
--dx into that scale.  On its first step a SimConfig builds its
-``update``: the one function that advances its fields by dt, holding a
-gather for each of its operators, the right-hand side of its system and
-the nonzero entries of its tableau.  Its stage loop runs on plain
-arrays: the scalar field itself, or the wave pair stacked into one
-(2, N) array whose right-hand side is written row by row.  Every later
-step reuses it.
+N^p.  A stencil wider than the grid wraps onto it, so every run steps
+with the same circulant whose spectrum ``fulldisc`` reads.  The scalar
+equation's advection gather folds the minus sign of -dx into that
+scale.  On its first step a SimConfig builds its ``update``: the one
+function that advances its fields by dt, holding a gather for each of
+its operators, the right-hand side of its system and the nonzero
+entries of its tableau.  Its stage loop runs on plain arrays: the
+scalar field itself, or the wave pair stacked into one (2, N) array
+whose right-hand side is written row by row.  Every later step reuses
+it.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .fulldisc import GridConfig
-from .spectrum import _require_dx, _require_dxx
-from .stencil import FdOperator, StencilKind, _check_integer
+from .spectrum import _check_n_cells, _require_dx, _require_dxx
+from .stencil import FdOperator, StencilKind
 from .timeint import ButcherTableau
 from .wavesys import WaveDiscretization
 
@@ -73,7 +75,11 @@ class SimConfig:
     ``operators`` is either an (dx, dxx or None) pair for the scalar
     equation or a WaveDiscretization for the coupled system.  Snapshot
     times must be sorted and lie in [0, t_final]; the stepper shortens the
-    final step so each target time is hit exactly.
+    final step so each target time is hit exactly.  A run that
+    :func:`advance` cannot carry out is refused: t_final / dt above 2^52,
+    where t + dt rounds back to t, or a target time within the landing
+    tolerance of the one before it (0 for the first), which no step would
+    reach.
     """
 
     grid: GridConfig
@@ -95,6 +101,14 @@ class SimConfig:
             raise ValueError("snapshot times must be strictly increasing")
         if times and (times[0] < 0 or times[-1] > self.t_final):
             raise ValueError("snapshot times must lie in [0, t_final]")
+        steps = self.t_final / self.grid.dt
+        if not steps <= 2.0**52:
+            raise ValueError(f"t_final / dt must be at most 2^52, got {steps!r}")
+        ends = sorted({t for t in times if t > 0} | {self.t_final})
+        for prev, t in zip([0.0, *ends], ends):
+            tol = _landing_tol(t)
+            if t - prev <= tol:
+                raise ValueError(f"target time {t!r} lies within {tol:g} of {prev!r}")
         if not self.is_wave:
             if not (isinstance(self.operators, tuple) and len(self.operators) == 2):
                 raise ValueError("scalar config needs an (dx, dxx) operator pair")
@@ -217,9 +231,14 @@ class SimResult:
         return max(v for _, v in self.linf_history) / linf0 if linf0 else math.nan
 
 
+def _landing_tol(t: float) -> float:
+    """How close to target time t a run counts as having reached it."""
+    return 1e-12 * max(1.0, abs(t))
+
+
 def gaussian_pulse(n_cells: int) -> np.ndarray:
     """exp(-100 (x - 1/2)^2) sampled at x_j = j/n."""
-    _check_integer(n_cells, "n_cells")
+    _check_n_cells(n_cells, 1)
     x = np.arange(n_cells) / n_cells
     return np.exp(-100.0 * (x - 0.5) ** 2)
 
@@ -235,11 +254,11 @@ def _gather_kernel(op: FdOperator, n: int, sign: float = 1.0):
     function sums the weighted rows one at a time in offset order,
     starting from +0.0, then scales the sum in place by sign * n^p: the
     rounding, signed zeros included, is that of accumulating c_k u_{j+k}
-    into a zero vector, and x * (-s) is exactly -(x * s).  It expects a
-    1-D float or complex vector of length n.
+    into a zero vector, and x * (-s) is exactly -(x * s).  A stencil wider
+    than the grid wraps onto it: offsets k and k + n read one cell and add
+    in offset order, the circulant ``fulldisc._grid_spectrum`` transforms.
+    It expects a 1-D float or complex vector of length n.
     """
-    if n < op.spec.width:
-        raise ValueError("grid too small for the stencil")
     keep = op.coeffs_float != 0.0
     idx = (np.arange(n) + op.offsets[keep][:, None]) % n
     weights = np.repeat(op.coeffs_float[keep][:, None], n, axis=1)
@@ -261,13 +280,14 @@ def apply_operator(op: FdOperator, u: np.ndarray) -> np.ndarray:
     """Periodic stencil application scaled by 1/h^p, h = 1/len(u).
 
     p is the derivative order of the stencil (1 or 2); grid index
-    arithmetic wraps around, matching the circulant symbol analysis.
-    Builds the gather for len(u) on each call; ``SimConfig.update`` builds
-    one per operator once and reuses it on every step.
+    arithmetic wraps around, even for a stencil wider than the grid, as
+    in the circulant symbol analysis.  Builds the gather for len(u) on
+    each call; ``SimConfig.update`` builds one per operator once and
+    reuses it on every step.
     """
     u = np.asarray(u)
-    if u.ndim != 1:
-        raise ValueError(f"expected a 1-D grid vector, got shape {u.shape}")
+    if u.ndim != 1 or len(u) == 0:
+        raise ValueError(f"expected a non-empty 1-D grid vector, got shape {u.shape}")
     u = u.astype(np.result_type(u.dtype, np.float64), copy=False)
     return _gather_kernel(op, len(u))(u)
 
@@ -344,7 +364,7 @@ def advance(state: SimState, config: SimConfig, t_target: float,
     if stop_linf is not None and math.isnan(stop_linf):
         raise ValueError("stop_linf must not be NaN")
     step = step_wave if config.is_wave else step_ade
-    tol = 1e-12 * max(1.0, abs(t_target))
+    tol = _landing_tol(t_target)
     dt = config.grid.dt
     cadence = max(1, round(config.t_final / dt) // 4096)
     eps = sys.float_info.epsilon

@@ -630,6 +630,26 @@ def test_simulate_rejects_empty_snapshot_times(capsys, tmp_path, command, operat
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command,operators", [
+    ("simulate", ["--dx", "3", "1"]),
+    ("wave-simulate", ["--dx-minus", "1", "0", "--dxx", "1"]),
+])
+@pytest.mark.parametrize("times,message", [
+    (["--mu", "1e-310", "--t-final", "0.1"], "at most 2^52, got inf"),
+    (["--mu", "0.5", "--t-final", "1e-13"], "lies within 1e-12 of 0.0"),
+    (["--mu", "0.5", "--t-final", "1", "--snapshot-times", "0.5,0.5000000000005,1"],
+     "lies within 1e-12 of 0.5"),
+], ids=["overflow", "first-target", "snapshot"])
+def test_simulate_refuses_runs_it_cannot_step(capsys, tmp_path, command, operators,
+                                              times, message):
+    # round(t_final / dt) overflows on the first; on the others no step
+    # would reach the later time
+    code, _, err = run(capsys, command, "--tableau", "rk4", *operators, "--n", "32",
+                       *times, "--out", str(tmp_path / "x_"))
+    assert code == 2 and message in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_rerun_is_byte_identical(capsys, tmp_path):
     argv = ["simulate", "--tableau", "rk2", "--dx", "2", "1", "--dxx", "1",
             "--nu", "0.05", "--mu", "0.3", "--n", "24", "--t-final", "0.25"]

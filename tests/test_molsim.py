@@ -24,13 +24,14 @@ from fdmlab import (
     make_state,
     run_gaussian_experiment,
     run_simulation,
+    semidiscrete_eigs,
     stability_polynomial,
     step_ade,
     step_wave,
     wave_symbols,
 )
 from fdmlab import molsim
-from oracles import matrix_poly, roll_apply
+from oracles import dense_ade_matrix, dense_wave_matrix, matrix_poly, roll_apply
 
 
 def scalar_config(lr, q, nu, mu, n, tableau="rk4", t_final=1.0, **kw):
@@ -74,8 +75,13 @@ def test_apply_operator_matches_symbol_action():
 
 
 def test_apply_operator_validation():
-    with pytest.raises(ValueError):
-        apply_operator(build_dx(21, 20), np.ones(8))
+    # a stencil wider than the grid wraps onto it, as roll_apply does
+    rng = np.random.default_rng(21)
+    for op, n in ((build_dx(21, 20), 8), (build_dxx(5), 4), (build_dx(3, 1), 1)):
+        u = rng.standard_normal(n)
+        assert apply_operator(op, u).tobytes() == roll_apply(op, u).tobytes(), (op, n)
+    with pytest.raises(ValueError, match="non-empty"):
+        apply_operator(build_dx(1, 0), np.ones(0))
 
 
 def test_apply_operator_rejects_non_vector():
@@ -189,10 +195,40 @@ def test_steps_share_and_change_no_arrays(wave):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
-def test_kernel_rejects_grid_narrower_than_stencil():
-    cfg = scalar_config((21, 20), 0, 0.0, 0.5, 16)
-    with pytest.raises(ValueError, match="too small"):
-        step_ade(make_state((np.ones(16),)), cfg)
+def test_step_at_grid_narrower_than_stencil_matches_spectrum():
+    # one step of a delta is column 0 of p(dt L), L the circulant of the
+    # stencils wrapped onto the grid: its DFT is p(mu lambda) at the grid
+    # modes, lambda from semidiscrete_eigs, and it matches the dense matrix
+    nu, mu = 0.05, 0.4
+    for lr, q, tableau, n in [((21, 20), 5, "rk4", 4), ((21, 20), 5, "rk4", 8),
+                              ((3, 1), 2, "lsrk3", 4), ((12, 11), 3, "rk3", 7)]:
+        cfg = scalar_config(lr, q, nu, mu, n, tableau=tableau)
+        assert cfg.operators[0].spec.width > n
+        got = step_ade(make_state((np.eye(n)[0],)), cfg).fields[0]
+        p = stability_polynomial(cfg.tableau)
+        gain = eval_p(p, mu * semidiscrete_eigs(*cfg.operators, cfg.grid))
+        np.testing.assert_allclose(np.fft.fft(got), np.roll(gain, 1), rtol=0, atol=1e-15)
+        dense = matrix_poly(p.coeffs, cfg.grid.dt * dense_ade_matrix(*cfg.operators, n, nu))
+        np.testing.assert_allclose(got, dense[:, 0], rtol=0, atol=1e-15)
+
+    # the wave pair: a delta in v, then in p, against the 2 x 2 mode blocks
+    n = 8
+    w = WaveDiscretization(build_dx(6, 5), build_dx(5, 6), build_dxx(4))
+    cfg = SimConfig(GridConfig(n, nu, dt=mu / n), get_tableau("rk4"), w, 1.0)
+    p = stability_polynomial(cfg.tableau)
+    dense = matrix_poly(p.coeffs, cfg.grid.dt * dense_wave_matrix(w, n, nu))
+    am, ap, b = wave_symbols(w, 2 * np.pi * np.arange(n) / n)
+    r = nu * n
+    blocks = np.moveaxis(np.array([[r * b - (am - ap) / 2, -(am + ap) / 2],
+                                   [-(am + ap) / 2, -(am - ap) / 2]]), 2, 0)
+    for col in (0, n):
+        fields = np.eye(2 * n)[col].reshape(2, n)
+        got = np.concatenate(step_wave(make_state(tuple(fields)), cfg).fields)
+        np.testing.assert_allclose(got, dense[:, col], rtol=0, atol=1e-15)
+        hat = np.fft.fft(got.reshape(2, n))
+        for m in range(n):
+            want = matrix_poly(p.coeffs, mu * blocks[m])[:, col // n]
+            np.testing.assert_allclose(hat[:, m], want, rtol=0, atol=1e-15)
 
 
 def test_forward_euler_step_definition():
@@ -435,6 +471,51 @@ def test_pulse_cell_count_must_be_an_integer(n):
         gaussian_pulse(n)
     assert str(err.value) == f"n_cells must be an integer, got {n!r}"
     assert np.array_equal(gaussian_pulse(np.int64(8)), gaussian_pulse(8))
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_pulse_needs_a_cell(n):
+    with pytest.raises(ValueError, match="need at least 1 cells"):
+        gaussian_pulse(n)
+    assert gaussian_pulse(1).tobytes() == np.exp([-25.0]).tobytes()
+
+
+def test_config_refuses_step_counts_past_2_52():
+    # t + dt rounds back to t once t_final / dt passes about 2^53, and an
+    # infinite ratio overflows advance's round(t_final / dt)
+    def config(t_final, dt):
+        return SimConfig(GridConfig(32, 0.0, dt=dt), get_tableau("rk4"),
+                         (build_dx(3, 1), None), t_final)
+
+    assert config(1.0, 2.0**-52).t_final == 1.0
+    for t_final, dt in ((1.0 + 2.0**-52, 2.0**-52), (1.0, 1e-17), (0.1, 1e-310 / 32)):
+        with pytest.raises(ValueError, match="at most 2\\^52"):
+            config(t_final, dt)
+
+
+@pytest.mark.parametrize("t_final,snaps,gap", [
+    (1e-12, (), (0.0, 1e-12)),
+    (1.0, (0.5, 0.5 + 0.9e-12), (0.5, 0.5 + 0.9e-12)),
+    (3.0, (2.0, 2.0 + 1.9e-12), (2.0, 2.0 + 1.9e-12)),
+    (1.0, (1.0 - 0.9e-12,), (1.0 - 0.9e-12, 1.0)),
+])
+def test_config_refuses_targets_within_the_landing_tolerance(t_final, snaps, gap):
+    # advance counts a target within 1e-12 max(1, |t|) as reached, so it
+    # would take no step and record the earlier time under the later one
+    with pytest.raises(ValueError, match=f"{gap[1]!r} lies within .* of {gap[0]!r}"):
+        scalar_config((1, 0), 0, 0.0, 0.5, 16, t_final=t_final, snapshot_times=snaps)
+
+
+@pytest.mark.parametrize("t_final,snaps", [
+    (1.1e-12, ()),
+    (1.0, (0.5, 0.5 + 1.1e-12)),
+    (3.0, (2.0, 2.0 + 2.1e-12)),
+    (1.0, (1.0 - 1.1e-12,)),
+])
+def test_targets_past_the_landing_tolerance_are_reached(t_final, snaps):
+    cfg = scalar_config((1, 0), 0, 0.0, 0.5, 16, t_final=t_final, snapshot_times=snaps)
+    result = run_simulation(cfg, (gaussian_pulse(16),))
+    assert [t for t, _ in result.snapshots] == [*snaps, t_final]
 
 
 @pytest.mark.parametrize(

@@ -219,8 +219,9 @@ def test_one_wave_step_block_is_p_of_mu_m(tab, lm, lp, q, n, mu, nu):
 
 @st.composite
 def update_cases(draw):
-    """A scalar or wave config on a grid as wide as its stencils or a bit
-    wider, fields for it and a full or shortened step.
+    """A scalar or wave config on a grid of 4 cells up to a bit wider than
+    its stencils, so a stencil may wrap onto the grid, fields for it and a
+    full or shortened step.
 
     Each field value is a signed zero, an O(1) value, a magnitude up to
     the default blow-up limit or a subnormal (where scaling by 1/2 before
@@ -239,7 +240,7 @@ def update_cases(draw):
         ops = (dx, None if q is None else build_dxx(q))
         used = [op for op in ops if op is not None]
         nu = 0.0 if q is None else nu
-    n = draw(st.integers(0, 12)) + max(4, *(op.spec.width for op in used))
+    n = draw(st.integers(4, 12 + max(4, *(op.spec.width for op in used))))
     cfg = SimConfig(GridConfig(n, nu, dt=draw(st.floats(0.01, 1.0)) / n), tab, ops, 1.0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (2 if cfg.is_wave else 1, n)
