@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -194,9 +195,10 @@ def cmd_trajectory(args):
         raise ValueError("give both --dx and --dxx or neither")
     configs = [(args.dx, args.dxx)] if args.dx is not None else DEFAULT_TRAJECTORY_CONFIGS
     r_list = parse_float_list(args.r_list)
-    if any(r < 0 for r in r_list):
-        raise ValueError("R values must be non-negative")
-    if len({_fmt(r) for r in r_list}) < len(r_list):  # one file name per R
+    for rv in r_list:  # all refused before any file is written
+        if rv != math.inf:  # inf traces the diffusion symbol alone
+            spectrum._check_r(rv)
+    if len(set(r_list)) < len(r_list):  # one file per R; 0 and -0.0 are one R
         raise ValueError("R values must be distinct")
     # theta is the same in every file, and so is im wherever R is finite
     csv = _CsvWriter()
@@ -221,20 +223,11 @@ def cmd_tableau_check(args):
     yield None, json.dumps(info, sort_keys=True) + "\n"
 
 
-def _spectral_inputs(args, mode: fulldisc.SweepMode):
-    """(dx, dxx, tableau) of index-sweep and threshold.  In fixed-mu mode
-    --nu is only a viscosity, which the spectrum would drop unread without
-    --dxx; in fixed-mu-nu mode it also sets dt."""
-    dx, dxx = _ade_operators(args)
-    if mode is fulldisc.SweepMode.FIXED_MU and args.nu > 0 and dxx is None:
-        raise ValueError("nonzero viscosity needs a diffusion operator")
-    return dx, dxx, _resolve_tableau(args.tableau)
-
-
 def cmd_index_sweep(args):
     mode, control = ((fulldisc.SweepMode.FIXED_MU, args.mu) if args.mu_nu is None
                      else (fulldisc.SweepMode.FIXED_MU_NU, args.mu_nu))
-    dx, dxx, tab = _spectral_inputs(args, mode)
+    dx, dxx = _ade_operators(args)
+    tab = _resolve_tableau(args.tableau)
     n_list = parse_int_list(args.n)
     points = fulldisc.instability_curve(dx, dxx, tab, control, n_list, mode, nu=args.nu)
     yield args.out, _CsvWriter().text(
@@ -246,7 +239,8 @@ def cmd_index_sweep(args):
 
 def cmd_threshold(args):
     mode = fulldisc.SweepMode(args.mode)
-    dx, dxx, tab = _spectral_inputs(args, mode)
+    dx, dxx = _ade_operators(args)
+    tab = _resolve_tableau(args.tableau)
     res = fulldisc.stable_mu_threshold(dx, dxx, tab, args.nu, args.n, mode)
     yield args.out, json.dumps(
         {"mu_star": res.mu_star, "iterations": res.iterations, "tol": res.tol},

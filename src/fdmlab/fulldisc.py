@@ -158,6 +158,13 @@ def grid_for(mode: SweepMode, n_cells: int, control: float, nu: float) -> GridCo
     return GridConfig(n_cells, nu, dt)
 
 
+def _check_viscosity(mode: SweepMode, nu: float, dxx: FdOperator | None) -> None:
+    """At fixed mu, nu is only a viscosity, which the spectrum would drop
+    unread without a diffusion operator; at fixed mu_nu it also sets dt."""
+    if mode is SweepMode.FIXED_MU and nu > 0 and dxx is None:
+        raise ValueError("nonzero viscosity needs a diffusion operator")
+
+
 def _grid_spectrum(dx: FdOperator | None, dxx: FdOperator | None,
                    grid: GridConfig) -> np.ndarray:
     """lambda_R at the modes k = 0..n//2 of the grid, mode 0 exactly 0.
@@ -166,8 +173,13 @@ def _grid_spectrum(dx: FdOperator | None, dxx: FdOperator | None,
     stencil wider than the grid adds onto itself, and one ``rfft`` takes
     their DFT: advection puts a_j in cell -j mod n and gives -rfft,
     diffusion puts b_j in cell j mod n and gives the real part.  R = 0
-    drops the diffusion term.
+    drops the diffusion term.  Operators of the wrong kind are refused as
+    the symbol evaluators refuse them.
     """
+    if dx is not None:
+        spectrum._require_dx(dx)
+    if dxx is not None:
+        spectrum._require_dxx(dxx)
     n = grid.n_cells
 
     def wrapped(op: FdOperator, sign: int) -> np.ndarray:
@@ -187,7 +199,9 @@ def semidiscrete_eigs(dx: FdOperator | None, dxx: FdOperator | None,
     """h-scaled semidiscrete eigenvalues lambda_R at s_k, k = 1..n.
 
     Either operator may be None (term absent), and R = 0 drops the
-    diffusion term; with no term left a ValueError is raised.  The k = n
+    diffusion term; with no term left a ValueError is raised.  Without
+    dxx the grid's nu is dropped too: a fixed-mu-nu grid carries nu for
+    its dt, not only as a viscosity.  The k = n
     entry is exactly 0 by consistency, and entry n - k is the conjugate of
     entry k bit for bit.
     """
@@ -208,7 +222,8 @@ def _report(p: StabilityPolynomial, z: np.ndarray) -> SpectrumReport:
 
 def full_spectrum(dx: FdOperator | None, dxx: FdOperator | None, grid: GridConfig,
                   p: StabilityPolynomial) -> SpectrumReport:
-    """Fully discrete eigenvalues p(mu * lambda_k) and their radius."""
+    """Fully discrete eigenvalues p(mu * lambda_k) and their radius; the
+    grid's nu is dropped without dxx, as in :func:`semidiscrete_eigs`."""
     lam = semidiscrete_eigs(dx, dxx, grid)
     return _report(p, np.multiply(grid.mu, lam, out=lam))
 
@@ -220,8 +235,10 @@ def instability_curve(dx: FdOperator | None, dxx: FdOperator | None,
 
     ``method`` is a tableau or its stability polynomial.  Entries keep the
     input order; index None marks resolutions stable at tolerance (a curve
-    "breaks" where a tail of Nones begins).
+    "breaks" where a tail of Nones begins).  At fixed mu, nonzero ``nu``
+    needs ``dxx``; at fixed mu_nu, ``nu`` sets dt and may go without it.
     """
+    _check_viscosity(mode, nu, dxx)
     p = _as_poly(method)
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -245,8 +262,10 @@ def stable_mu_threshold(dx: FdOperator | None, dxx: FdOperator | None,
     bisects the bracket to relative width 1e-6, reported as ``tol``.  A
     scan past the crossing sets ``stable_beyond`` when stability reappears
     at larger values.  The lambda_k at modes 0..n/2 are computed once;
-    each probe reads the verdict on p(mu * lambda).
+    each probe reads the verdict on p(mu * lambda).  The viscosity rule
+    is that of :func:`instability_curve`.
     """
+    _check_viscosity(mode, nu, dxx)
     p = _as_poly(method)
     lam = _grid_spectrum(dx, dxx, grid_for(mode, n_cells, _SEED, nu))
     iterations = 0

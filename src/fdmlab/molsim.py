@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fulldisc import GridConfig
+from .fulldisc import GridConfig, SweepMode, _check_viscosity
 from .spectrum import _check_n_cells, _require_dx, _require_dxx
 from .stencil import FdOperator, StencilKind
 from .timeint import ButcherTableau
@@ -73,7 +73,8 @@ class SimConfig:
     """One simulation setup.
 
     ``operators`` is either an (dx, dxx or None) pair for the scalar
-    equation or a WaveDiscretization for the coupled system.  Snapshot
+    equation or a WaveDiscretization for the coupled system; a scalar
+    run's dt is fixed, so nonzero nu needs dxx, as at fixed mu.  Snapshot
     times must be sorted and lie in [0, t_final]; the stepper shortens the
     final step so each target time is hit exactly.  A run that
     :func:`advance` cannot carry out is refused: t_final / dt above 2^52,
@@ -118,8 +119,7 @@ class SimConfig:
             _require_dx(dx)
             if dxx is not None:
                 _require_dxx(dxx)
-            if self.grid.nu != 0 and dxx is None:
-                raise ValueError("nonzero viscosity needs a diffusion operator")
+            _check_viscosity(SweepMode.FIXED_MU, self.grid.nu, dxx)
 
     @cached_property
     def is_wave(self) -> bool:

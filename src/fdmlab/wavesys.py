@@ -130,11 +130,10 @@ def wave_eigs(w: WaveDiscretization, r: float, theta):
         raise ValueError(f"R must be finite and small enough for finite eigenvalues, got {r!r}")
     s2 = np.abs(s) ** 2
     scale = np.maximum(1.0, np.maximum(rb**2, s2))
-    # A repeated eigenvalue is defective unless the block is scalar, which
-    # requires both the coupling symbol and R*b to vanish; that happens only
-    # at the consistency point where the whole block is exactly zero.
-    zero_block = (s == 0) & (rb == 0)
-    jordan = (np.abs(disc) <= _JORDAN_TOL * scale) & ~zero_block
+    # With R b = 0 the block is -(d/2) I - (s/2) J, J swapping the fields,
+    # which (1, 1) and (1, -1) diagonalize for every s; with R b != 0 a
+    # repeated eigenvalue leaves a nonzero nilpotent part, a Jordan block.
+    jordan = (np.abs(disc) <= _JORDAN_TOL * scale) & (rb != 0)
     return tuple(x.reshape(np.shape(theta))[()] for x in (lam1, lam2, jordan))
 
 

@@ -191,6 +191,27 @@ def test_trajectory_rejects_r_values_with_one_file_name(capsys, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_trajectory_refuses_a_bad_r_before_writing(capsys, tmp_path):
+    # the file of 0.1 was written before the NaN was refused, with no manifest
+    argv = ["trajectory", "--dx", "3", "1", "--dxx", "2", "--samples", "8",
+            "--out", str(tmp_path / "x_")]
+    code, stdout, err = run(capsys, *argv, "--r-list", "0.1,nan")
+    assert (code, stdout) == (2, "")
+    assert "R must be finite and non-negative, got nan" in err
+    assert not list(tmp_path.iterdir())
+    # inf still traces the diffusion symbol alone
+    assert run(capsys, *argv, "--r-list", "0.1,inf")[0] == 0
+    assert (tmp_path / "x_dx3_1_dxx2_Rinf.csv").exists()
+
+
+def test_trajectory_treats_signed_zeros_as_one_r(capsys, tmp_path):
+    # 0 and -0.0 wrote ..._R0.0.csv and ..._R-0.0.csv with the same bytes
+    code, _, err = run(capsys, "trajectory", "--dx", "1", "0", "--dxx", "1",
+                       "--r-list", "0,-0.0", "--samples", "8", "--out", str(tmp_path / "t_"))
+    assert code == 2 and "R values must be distinct" in err
+    assert not list(tmp_path.iterdir())
+
+
 # ------------------------------------------------------------- tableau
 
 
@@ -434,6 +455,17 @@ def test_wave_spectrum_csv(capsys, tmp_path):
         cells = line.split(",")
         assert cells[5] in ("0", "1")
         assert float(cells[1]) <= 1e-10 and float(cells[3]) <= 1e-10
+
+
+def test_wave_spectrum_flags_no_jordan_block_at_zero_r(capsys, tmp_path):
+    # the pair nearly repeats at theta = -pi, where R b = 0 leaves a
+    # diagonalizable block; that row read jordan = 1
+    out = tmp_path / "w.csv"
+    assert run(capsys, "wave-spectrum", "--dx-minus", "3", "1", "--dxx", "2",
+               "--r-value", "0", "--samples", "16", "--out", str(out))[0] == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert float(rows[0][0]) == -math.pi
+    assert [row[5] for row in rows] == ["0"] * 16
 
 
 def test_wave_spectrum_default_plus_is_mirror(capsys, tmp_path):

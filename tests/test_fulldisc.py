@@ -20,6 +20,8 @@ from fdmlab import (
     fulldisc,
     get_tableau,
     grid_for,
+    SimConfig,
+    ade_symbol,
     instability_curve,
     semidiscrete_eigs,
     stability_polynomial,
@@ -200,6 +202,43 @@ def test_threshold_diffusion_mode():
         )
     with pytest.raises(ValueError):  # no active operator
         stable_mu_threshold(None, build_dxx(1), get_tableau("fe"), 0.0, 64)
+
+
+def test_fixed_mu_viscosity_needs_a_diffusion_operator_on_every_path():
+    # at fixed mu, nu is only a viscosity: without dxx the library dropped it
+    # and returned the nu = 0 answer, where the command line refused it
+    dx, message = build_dx(1, 0), "^nonzero viscosity needs a diffusion operator$"
+    with pytest.raises(ValueError, match=message):
+        instability_curve(dx, None, RK4, 0.9, [64], SweepMode.FIXED_MU, nu=5.0)
+    with pytest.raises(ValueError, match=message):
+        stable_mu_threshold(dx, None, RK4, 5.0, 64)
+    with pytest.raises(ValueError, match=message):
+        SimConfig(GridConfig(64, 5.0, dt=0.01), get_tableau("rk4"), (dx, None), 1.0)
+    # at fixed mu_nu, nu sets dt and needs no diffusion operator
+    (point,) = instability_curve(dx, None, RK4, 0.5, [64], SweepMode.FIXED_MU_NU, nu=5.0)
+    assert point.rho == full_spectrum(dx, None, grid_for(SweepMode.FIXED_MU_NU, 64, 0.5, 5.0),
+                                      RK4).rho
+    stable_mu_threshold(dx, None, RK4, 5.0, 64, SweepMode.FIXED_MU_NU)
+
+
+@pytest.mark.parametrize("dx,dxx,message", [
+    (build_dxx(2), None, "^expected a first-derivative operator$"),
+    (build_dx(1, 0), build_dx(0, 1), "^expected a centered second-derivative operator$"),
+    (None, build_dx(1, 0), "^expected a centered second-derivative operator$"),
+], ids=["dxx-as-dx", "dx-as-dxx", "dx-alone-as-dxx"])
+@pytest.mark.parametrize("nu", [0.0, 0.1])
+def test_grid_spectra_refuse_operators_of_the_wrong_kind(dx, dxx, message, nu):
+    # the grid spectra took any stencil in either slot, which the symbols refuse
+    mode = SweepMode.FIXED_MU_NU if nu else SweepMode.FIXED_MU
+    grid = grid_for(mode, 32, 0.5, nu)
+    calls = [lambda: ade_symbol(dx, dxx, grid.r, 1.0),
+             lambda: semidiscrete_eigs(dx, dxx, grid),
+             lambda: full_spectrum(dx, dxx, grid, RK4),
+             lambda: instability_curve(dx, dxx, RK4, 0.5, [32], mode, nu=nu),
+             lambda: stable_mu_threshold(dx, dxx, RK4, nu, 32, mode)]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_method_must_be_a_tableau_or_polynomial():

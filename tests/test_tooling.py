@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import fdmlab
@@ -120,3 +121,18 @@ def test_every_command_and_output_path_is_byte_pinned():
         assert runs, f"no byte pin runs {' '.join(path)}"
         if any("--out" in action.option_strings for action in parser._actions):
             assert any("--out" in argv for argv in runs), f"{' '.join(path)} --out"
+
+
+def test_cli_output_golden_bytes(tmp_path, monkeypatch):
+    # the benchmark's cli_output seed-0 tasks hold each file to the sha256 in
+    # bench/golden_seed0.json and to the bench oracles; a change that moves a
+    # golden byte fails here, not only when the benchmark runs
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    tasks = workloads.setup("cli_output", workloads.GOLDEN_SEED)
+    assert tasks
+    for task in tasks:
+        assert task.check(task.run(tmp_path)) is None, task.name

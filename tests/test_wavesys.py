@@ -73,6 +73,19 @@ def test_jordan_point_on_the_matched_angle():
     assert wave_eigs(W1, 1.0, 0.0)[0] == 0.0
 
 
+@pytest.mark.parametrize("lm", [(1, 0), (2, 1), (3, 1), (21, 20)])
+def test_no_jordan_block_at_zero_r(lm):
+    # with R b = 0 the block is -(d/2) I - (s/2) J, J swapping the fields,
+    # which (1, 1) and (1, -1) diagonalize for every s; where the pair
+    # nearly repeated (theta = pi for symmetric pairs) it read as defective
+    w = WaveDiscretization(build_dx(*lm), mirror(build_dx(*lm)), build_dxx(2))
+    for n in [*range(8, 65), 255, 256, 1023, 1024, 4095, 4096]:
+        assert not sample_wave_trajectory(w, 0.0, n)[3].any(), n
+    for n in (8, 64, 1024):
+        th, _, _, jordan = grid_eigenpairs(w, 0.0, n)
+        assert th[n // 2 - 1] == math.pi and not jordan.any(), n
+
+
 def test_eigs_match_explicit_blocks():
     w = make_wave((3, 1), (1, 2), 2)
     r = 0.7
