@@ -67,8 +67,7 @@ class GridConfig:
 
     def __post_init__(self) -> None:
         spectrum._check_n_cells(self.n_cells, 4)
-        if not (math.isfinite(self.nu) and self.nu >= 0):
-            raise ValueError("viscosity must be finite and non-negative")
+        spectrum._check_nu(self.nu)
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("time step must be finite and positive")
 
@@ -145,8 +144,9 @@ def _as_poly(method) -> StabilityPolynomial:
 def grid_for(mode: SweepMode, n_cells: int, control: float, nu: float) -> GridConfig:
     """Grid with dt chosen so the mode's control parameter equals ``control``."""
     spectrum._check_n_cells(n_cells, 4)  # before dt divides by it
-    if control <= 0:
-        raise ValueError("control parameter must be positive")
+    if not (math.isfinite(control) and control > 0):
+        name = "mu" if mode is SweepMode.FIXED_MU else "mu_nu"
+        raise ValueError(f"{name} must be finite and positive, got {control!r}")
     if mode is SweepMode.FIXED_MU:
         dt = control / n_cells
     elif mode is SweepMode.FIXED_MU_NU:
@@ -196,18 +196,17 @@ def _grid_spectrum(dx: FdOperator | None, dxx: FdOperator | None,
 
 def semidiscrete_eigs(dx: FdOperator | None, dxx: FdOperator | None,
                       grid: GridConfig) -> np.ndarray:
-    """h-scaled semidiscrete eigenvalues lambda_R at s_k, k = 1..n.
+    """h-scaled semidiscrete eigenvalues lambda_R at s_k, k = 0..n-1.
 
+    The modes are in ``np.fft.fft`` order, entry k at theta = 2 pi k / n.
     Either operator may be None (term absent), and R = 0 drops the
     diffusion term; with no term left a ValueError is raised.  Without
     dxx the grid's nu is dropped too: a fixed-mu-nu grid carries nu for
-    its dt, not only as a viscosity.  The k = n
-    entry is exactly 0 by consistency, and entry n - k is the conjugate of
-    entry k bit for bit.
+    its dt, not only as a viscosity.  Entry 0 is exactly 0 by consistency,
+    and entry n - k is the conjugate of entry k bit for bit.
     """
     half = _grid_spectrum(dx, dxx, grid)
-    mirrored = half[(grid.n_cells + 1) // 2 - 1 : 0 : -1].conj()
-    return np.concatenate((half[1:], mirrored, half[:1]))
+    return np.concatenate((half, half[(grid.n_cells + 1) // 2 - 1 : 0 : -1].conj()))
 
 
 def _report(p: StabilityPolynomial, z: np.ndarray) -> SpectrumReport:
@@ -222,8 +221,9 @@ def _report(p: StabilityPolynomial, z: np.ndarray) -> SpectrumReport:
 
 def full_spectrum(dx: FdOperator | None, dxx: FdOperator | None, grid: GridConfig,
                   p: StabilityPolynomial) -> SpectrumReport:
-    """Fully discrete eigenvalues p(mu * lambda_k) and their radius; the
-    grid's nu is dropped without dxx, as in :func:`semidiscrete_eigs`."""
+    """Fully discrete eigenvalues p(mu * lambda_k), k = 0..n-1 in the mode
+    order of :func:`semidiscrete_eigs`, and their radius; the grid's nu is
+    dropped without dxx, as there."""
     lam = semidiscrete_eigs(dx, dxx, grid)
     return _report(p, np.multiply(grid.mu, lam, out=lam))
 

@@ -48,7 +48,6 @@ __all__ = [
     "ade_symbol",
     "sample_trajectory",
     "sample_grid",
-    "grid_angles",
     "upwind_symbol_real_part",
     "vietoris_check",
     "asymptotic_exponent",
@@ -93,15 +92,6 @@ def _check_n_cells(n_cells, least: int) -> None:
     _check_integer(n_cells, "n_cells")
     if n_cells < least:
         raise ValueError(f"need at least {least} cells")
-
-
-def grid_angles(n_cells: int) -> np.ndarray:
-    """Grid angles theta_k = 2 pi k / n, k = 1..n, with the k = n angle
-    exactly 0 so every symbol vanishes there exactly."""
-    k = np.arange(1, n_cells + 1)
-    th = 2.0 * math.pi * k / n_cells
-    th[-1] = 0.0
-    return th
 
 
 def _evaluate(block, theta, dtype):
@@ -169,6 +159,12 @@ def _check_r(r) -> None:
     """The R rule of every symbol and wave eigenvalue pair: finite, >= 0."""
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"R must be finite and non-negative, got {r!r}")
+
+
+def _check_nu(nu) -> None:
+    """The viscosity rule of every grid and wave classification: finite, >= 0."""
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ValueError("viscosity must be finite and non-negative")
 
 
 def _combine(adv, dif, r: float):

@@ -35,10 +35,10 @@ import numpy as np
 from .spectrum import (
     N_SAMPLES,
     _check_n_cells,
+    _check_nu,
     _check_r,
     advection_symbol,
     diffusion_symbol,
-    grid_angles,
     sample_grid,
 )
 from .stencil import FdOperator, StabilityClass, StencilKind, classify, mirror
@@ -148,14 +148,14 @@ def sample_wave_trajectory(w: WaveDiscretization, r: float, n_samples: int = N_S
 
 
 def grid_eigenpairs(w: WaveDiscretization, r: float, n_cells: int):
-    """Eigenvalue pairs at the grid angles 2 pi k / n, k = 1..n.
+    """Eigenvalue pairs at the grid angles 2 pi k / n, k = 0..n-1.
 
     Returns arrays ``(theta, lam1, lam2, jordan)`` as
-    :func:`sample_wave_trajectory` does.  The k = n angle is mapped to 0
-    so the consistency pair is exact.
+    :func:`sample_wave_trajectory` does, in ``np.fft.fft`` mode order;
+    the consistency pair at k = 0 is exactly 0.
     """
     _check_n_cells(n_cells, 2)
-    th = grid_angles(n_cells)
+    th = 2.0 * np.pi * np.arange(n_cells) / n_cells
     return (th, *wave_eigs(w, r, th))
 
 
@@ -202,8 +202,7 @@ def _classify(w: WaveDiscretization, nu: float, n_cells: int):
     evaluation of the eigenvalue pairs; see :func:`classify_spectrum`."""
     if not w.symmetric:
         raise ValueError("spectrum classification applies to symmetric pairs")
-    if not (nu >= 0):
-        raise ValueError("viscosity must be non-negative")
+    _check_nu(nu)
     _, lam1, lam2, _ = grid_eigenpairs(w, nu * n_cells, n_cells)
     lam = np.concatenate((lam1, lam2))
     im = np.abs(lam.imag)

@@ -35,7 +35,6 @@ from fdmlab import (
     eval_p,
     full_spectrum,
     get_tableau,
-    grid_angles,
     instability_curve,
     mirror,
     sample_grid,
@@ -58,9 +57,6 @@ EXTENT = 21
 # FFT lengths that are powers of two, odd, and prime (65537)
 BLOCK_SIZES = [4, 5, 7, 8, 255, 4096, 4097, 65535, 65536, 65537, 2**17, 2**17 + 1]
 DRAWN_SIZES = sorted({int(n) for n in np.random.default_rng(11).integers(9, 2**17, 4)})
-# odd sizes, non-powers of two and 65537 among the coarse grids of the nesting test
-NESTED_SIZES = sorted({4, 5, 7, 12, 255, 4096, 65537, 2**17}
-                      | {int(n) for n in np.random.default_rng(15).integers(4, 2**17, 6)})
 TERMS = ["dx", "dxx", "both"]  # operators of the sweep cases
 SWEEP_LISTS = [
     [2**k for k in range(2, 13)],  # doubling from 4 cells
@@ -70,6 +66,11 @@ SWEEP_LISTS = [
     [4097, 8194, 65537, 131074],  # odd sizes, the prime 65537, and their doubles
     [1000, 2000, 3000, 4000, 5000, 6000],  # "a:b:step"
 ]
+
+
+def fft_angles(n):
+    """The grid angles 2 pi k / n in ``np.fft.fft`` order, k = 0..n-1."""
+    return 2.0 * np.pi * np.arange(n) / n
 
 
 def same_bits(got, want):
@@ -110,7 +111,7 @@ def test_advection_symbol_every_dx(left):
         if left + right == 0:
             continue
         dx = build_dx(left, right)
-        cases = [grid_angles(int(rng.integers(4, 600))),
+        cases = [fft_angles(int(rng.integers(4, 600))),
                  sample_grid(int(rng.integers(8, 600))),
                  angle_pools(rng, (3, 5)),
                  float(angle_pools(rng, ())),
@@ -128,7 +129,7 @@ def test_grid_spectra_across_block_sizes(n):
     dx, dxx, nu = random_dx(rng), random_dxx(rng), random_r(rng) / n
     grid = GridConfig(n, nu, dt=0.1 / n)
     r = grid.r
-    th = grid_angles(n)
+    th = fft_angles(n)
     dif = None if r == 0 else dxx
     scale = np.abs(dx.coeffs_float).sum() + (0.0 if dif is None else
                                               r * np.abs(dif.coeffs_float).sum())
@@ -150,15 +151,6 @@ def test_sample_trajectory(n):
             reference_ade_symbol(dx, dxx, r, th)
         same_bits(th, sample_grid(n))
         same_bits(lam, want)
-
-
-@pytest.mark.parametrize("n", NESTED_SIZES)
-def test_grid_angles_nest(n):
-    # the angles of n cells are every 2^j-th angle of n * 2^j cells
-    want = grid_angles(n).tobytes()
-    for j in range(5):
-        step = 2**j
-        assert grid_angles(n * step)[step - 1 :: step].tobytes() == want
 
 
 @pytest.mark.parametrize("n", [4, 255, 4097, 65537])

@@ -345,6 +345,26 @@ def test_fixed_mu_nu_viscosity_sets_dt_without_a_diffusion_operator(capsys):
         assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("argv,name,value", [
+    (["index-sweep", "--dx", "1", "0", "--mu", "nan", "--n", "32"], "mu", "nan"),
+    (["index-sweep", "--dx", "1", "0", "--nu", "0.1", "--mu-nu", "nan", "--n", "32"],
+     "mu_nu", "nan"),
+    (["index-sweep", "--dx", "1", "0", "--mu=-inf", "--n", "32"], "mu", "-inf"),
+    (["simulate", "--dx", "1", "0", "--mu", "inf", "--n", "32", "--t-final", "0.1"],
+     "mu", "inf"),
+    (["wave-simulate", "--dx-minus", "1", "0", "--dxx", "1", "--mu", "nan", "--n", "32",
+      "--t-final", "0.1"], "mu", "nan"),
+], ids=["index-sweep-mu", "index-sweep-mu-nu", "index-sweep-minus-inf", "simulate",
+        "wave-simulate"])
+def test_step_ratio_that_is_not_finite_is_named(capsys, tmp_path, argv, name, value):
+    # it was reported as "time step must be finite and positive"
+    out = tmp_path / "o"
+    code, stdout, err = run(capsys, *argv, "--tableau", "rk4", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {name} must be finite and positive, got {value}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_index_sweep_unknown_tableau(capsys):
     code, _, err = run(capsys, "index-sweep", "--tableau", "rk99",
                        "--dx", "1", "0", "--mu", "0.1", "--n", "32")
@@ -510,8 +530,20 @@ def test_wave_classify_evaluates_the_spectrum_once(capsys, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("nu", ["nan", "inf", "-1"])
+def test_wave_classify_states_the_grid_viscosity_rule(capsys, tmp_path, nu):
+    # NaN read "viscosity must be non-negative", inf the R message
+    out = tmp_path / "o"
+    code, stdout, err = run(capsys, "wave-classify", "--dx-minus", "1", "0", "--dxx", "1",
+                            "--n", "64", "--nu", nu, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: viscosity must be finite and non-negative\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
-    ["wave-classify", "--dxx", "1", "--nu", "inf", "--n", "16"],
+    # a finite nu whose R = nu * N overflows; nu = inf breaks the viscosity rule
+    ["wave-classify", "--dxx", "1", "--nu", "1e308", "--n", "64"],
     ["wave-classify", "--dxx", "1", "--nu", "1e308", "--n", "16"],
     ["wave-spectrum", "--dxx", "1", "--r-value", "inf", "--samples", "16"],
     ["wave-spectrum", "--dxx", "1", "--r-value", "nan", "--samples", "16"],

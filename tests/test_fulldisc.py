@@ -16,6 +16,7 @@ from fdmlab import (
     build_dx,
     build_dxx,
     builtin_tableaux,
+    eval_p,
     full_spectrum,
     fulldisc,
     get_tableau,
@@ -62,10 +63,26 @@ def test_grid_for_modes():
         grid_for(SweepMode.FIXED_MU, 64, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("control", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_grid_for_names_a_bad_control(control):
+    # NaN and inf passed the old control <= 0 test and were reported as dt
+    for mode, name in [(SweepMode.FIXED_MU, "mu"), (SweepMode.FIXED_MU_NU, "mu_nu")]:
+        with pytest.raises(ValueError) as err:
+            grid_for(mode, 64, control, 0.5)
+        assert str(err.value) == f"{name} must be finite and positive, got {control!r}"
+    calls = [lambda: instability_curve(build_dx(1, 0), None, RK4, control, [32],
+                                       SweepMode.FIXED_MU),
+             lambda: SimConfig(grid_for(SweepMode.FIXED_MU, 32, control, 0.0), get_tableau("rk4"),
+                               (build_dx(1, 0), None), 1.0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^mu must be finite and positive"):
+            call()
+
+
 def test_semidiscrete_eigs_four_cells():
     grid = GridConfig(4, 0.0, dt=0.1)
     eig = semidiscrete_eigs(build_dx(1, 0), build_dxx(1), grid)
-    assert eig[-1] == 0.0
+    assert eig[0] == 0.0
     assert_multiset_close(eig, [-1 - 1j, -1 + 1j, -2.0, 0.0], tol=1e-14)
 
 
@@ -76,7 +93,7 @@ def test_semidiscrete_eigs_requires_an_operator():
     # diffusion alone is fine once nu > 0
     eig = semidiscrete_eigs(None, build_dxx(1), GridConfig(8, 1.0, dt=0.01))
     assert np.all(eig.imag == 0.0)
-    assert eig[-1] == 0.0
+    assert eig[0] == 0.0
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 255, 4096, 65537])
@@ -85,10 +102,32 @@ def test_semidiscrete_eigs_mirror_exactly(n):
     # entry of an even grid is its own mirror, so it is real
     lam = semidiscrete_eigs(build_dx(3, 1), build_dxx(2), GridConfig(n, 0.1, dt=0.1 / n))
     k = np.arange(1, (n + 1) // 2)  # every k < n - k
-    assert lam[k - 1].tobytes() == lam[n - k - 1].conj().tobytes()
+    assert lam[k].tobytes() == lam[n - k].conj().tobytes()
     if n % 2 == 0:
-        assert lam[n // 2 - 1].imag == 0.0
-    assert lam[-1] == 0.0
+        assert lam[n // 2].imag == 0.0
+    assert lam[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "lr,q,nu,n",
+    [((1, 0), 1, 0.0, 4), ((3, 1), 2, 0.1, 9), ((2, 2), 1, 0.5, 16), ((12, 11), 5, 0.02, 37),
+     # stencils wider than the grid
+     ((21, 20), 5, 0.05, 5), ((21, 20), 5, 0.03, 16)],
+)
+def test_semidiscrete_eigs_in_fft_mode_order(lr, q, nu, n):
+    # entry k is the eigenvalue at theta = 2 pi k / n, the k-th DFT value of
+    # the circulant's column 0, with no roll; full_spectrum keeps the order
+    dx, dxx = build_dx(*lr), build_dxx(q)
+    grid = GridConfig(n, nu, dt=0.2 / n)
+    lam = semidiscrete_eigs(dx, dxx, grid)
+    want = np.fft.fft(dense_ade_matrix(dx, dxx, n, nu)[:, 0]) / n
+    np.testing.assert_allclose(lam, want, rtol=0, atol=1e-13)
+    k = np.arange(1, n)
+    assert lam[0] == 0.0 and np.array_equal(lam[n - k], lam[k].conj())
+    rep = full_spectrum(dx, dxx, grid, RK4)
+    assert rep.eigenvalues.tobytes() == eval_p(RK4, grid.mu * lam).tobytes()
+    assert rep.eigenvalues[0] == 1.0
+    assert np.array_equal(rep.eigenvalues[n - k], rep.eigenvalues[k].conj())
 
 
 @pytest.mark.parametrize(
@@ -121,8 +160,8 @@ def test_full_spectrum_report_fields():
     grid = grid_for(SweepMode.FIXED_MU, 64, 0.5, 0.0)
     rep = full_spectrum(build_dx(1, 0), None, grid, FE)
     assert len(rep.eigenvalues) == 64
-    # the k = N mode maps through p(0) = 1 exactly
-    assert rep.eigenvalues[-1] == 1.0
+    # the k = 0 mode maps through p(0) = 1 exactly
+    assert rep.eigenvalues[0] == 1.0
     assert rep.rho == 1.0
     assert rep.instability_index is None
 

@@ -83,7 +83,7 @@ def test_no_jordan_block_at_zero_r(lm):
         assert not sample_wave_trajectory(w, 0.0, n)[3].any(), n
     for n in (8, 64, 1024):
         th, _, _, jordan = grid_eigenpairs(w, 0.0, n)
-        assert th[n // 2 - 1] == math.pi and not jordan.any(), n
+        assert th[n // 2] == math.pi and not jordan.any(), n
 
 
 def test_eigs_match_explicit_blocks():
@@ -116,11 +116,31 @@ def test_grid_pairs_match_dense_oracle(lm, lp, q, nu, n):
     assert_multiset_close(lib, dense, tol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "lm,lp,q,nu,n",
+    [((1, 0), (0, 1), 1, 0.3, 2), ((3, 1), (1, 3), 2, 0.05, 9), ((3, 1), (1, 2), 2, 0.0, 16),
+     ((12, 11), (11, 12), 5, 0.01, 37), ((21, 20), (20, 21), 5, 0.02, 8)],
+)
+def test_grid_pairs_in_fft_mode_order(lm, lp, q, nu, n):
+    # pair k belongs to theta = 2 pi k / n: the 2 x 2 block of mode k holds
+    # the k-th DFT values of column 0 of the four circulant blocks, no roll
+    w = make_wave(lm, lp, q)
+    th, lam1, lam2, _ = grid_eigenpairs(w, nu * n, n)
+    assert th.tobytes() == (2.0 * np.pi * np.arange(n) / n).tobytes()
+    dense = dense_wave_matrix(w, n, nu)
+    blocks = np.fft.fft(dense.reshape(2, n, 2, n)[:, :, :, 0], axis=1) / n
+    want = np.linalg.eigvals(blocks.transpose(1, 0, 2))
+    err = np.minimum(np.abs(lam1 - want[:, 0]) + np.abs(lam2 - want[:, 1]),
+                     np.abs(lam1 - want[:, 1]) + np.abs(lam2 - want[:, 0]))
+    assert np.max(err) <= 1e-12
+    assert lam1[0] == lam2[0] == 0.0
+
+
 def test_grid_pairs_edges():
     th, lam1, lam2, jordan = grid_eigenpairs(W1, 1.0, 2)
     assert len(th) == len(lam1) == len(lam2) == len(jordan) == 2
-    assert th[-1] == 0.0
-    assert lam1[-1] == 0.0 and lam2[-1] == 0.0
+    assert th[0] == 0.0
+    assert lam1[0] == 0.0 and lam2[0] == 0.0
     with pytest.raises(ValueError):
         grid_eigenpairs(W1, 1.0, 1)
     with pytest.raises(ValueError):
@@ -151,11 +171,21 @@ def test_r_must_be_finite_and_non_negative(r):
             call()
 
 
-@pytest.mark.parametrize("nu", [math.inf, 1e308])
+@pytest.mark.parametrize("nu", [1e308])
 def test_classify_rejects_overflowing_r(nu):
     # R = nu * N is what the eigenvalues see; 1e308 * 16 overflows to inf
     with pytest.raises(ValueError, match="R must be finite"):
         classify_spectrum(W1, nu, 16)
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -1.0])
+def test_classify_states_the_grid_viscosity_rule(nu):
+    # its own copy of the rule read NaN as negative and let inf through to R
+    with pytest.raises(ValueError) as grid_err:
+        GridConfig(16, nu, 0.1)
+    with pytest.raises(ValueError) as err:
+        classify_spectrum(W1, nu, 16)
+    assert str(err.value) == str(grid_err.value) == "viscosity must be finite and non-negative"
 
 
 def test_eigenvalues_that_overflow_are_rejected():
