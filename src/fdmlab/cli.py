@@ -33,7 +33,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -82,14 +81,12 @@ def parse_float_list(text: str) -> list[float]:
 
 def _write_text_atomic(path: Path, text: str) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".")
+    # O_EXCL never opens an existing path; 0o666 lets the kernel apply the umask as open() does
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-            # mkstemp creates 0600 whatever the umask; give the mode open() would.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -406,7 +403,9 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        msg = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)

@@ -144,8 +144,8 @@ def _as_poly(method) -> StabilityPolynomial:
 def grid_for(mode: SweepMode, n_cells: int, control: float, nu: float) -> GridConfig:
     """Grid with dt chosen so the mode's control parameter equals ``control``."""
     spectrum._check_n_cells(n_cells, 4)  # before dt divides by it
+    name = "mu" if mode is SweepMode.FIXED_MU else "mu_nu"
     if not (math.isfinite(control) and control > 0):
-        name = "mu" if mode is SweepMode.FIXED_MU else "mu_nu"
         raise ValueError(f"{name} must be finite and positive, got {control!r}")
     if mode is SweepMode.FIXED_MU:
         dt = control / n_cells
@@ -155,6 +155,9 @@ def grid_for(mode: SweepMode, n_cells: int, control: float, nu: float) -> GridCo
         dt = control / (nu * n_cells**2)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown mode {mode!r}")
+    if not (math.isfinite(dt) and dt > 0):  # overflow or underflow of the division
+        raise ValueError(f"{name}={control!r}, nu={nu!r} and N={n_cells} give time step "
+                         f"{dt!r}, which is not finite and positive")
     return GridConfig(n_cells, nu, dt)
 
 

@@ -81,10 +81,7 @@ class WaveDiscretization:
     @cached_property
     def symmetric(self) -> bool:
         """True when dx_plus is exactly the mirror of dx_minus."""
-        return mirror(self.dx_minus).coeffs == self.dx_plus.coeffs and (
-            self.dx_plus.spec.left == self.dx_minus.spec.right
-            and self.dx_plus.spec.right == self.dx_minus.spec.left
-        )
+        return mirror(self.dx_minus) == self.dx_plus
 
 
 class SpectrumClass(Enum):

@@ -108,17 +108,38 @@ def test_coeffs_file_and_manifest(capsys, tmp_path):
     assert man["duration_s"] >= 0
 
 
-def test_outputs_get_umask_file_mode(capsys, tmp_path):
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_outputs_get_umask_file_mode(capsys, tmp_path, umask):
     out = tmp_path / "c.csv"
-    old = os.umask(0o022)
+    old = os.umask(umask)
     try:
         code, _, _ = run(capsys, "coeffs", "dx", "3", "1", "--out", str(out))
+        assert code == 0
+        code, _, _ = run(capsys, "trajectory", "--dx", "3", "1", "--dxx", "2",
+                         "--r-list", "1", "--samples", "8", "--out", str(tmp_path / "t_"))
+        assert code == 0
     finally:
         os.umask(old)
-    assert code == 0
-    for path in (out, tmp_path / "c.csv.manifest.json"):
-        assert stat.S_IMODE(path.stat().st_mode) == 0o644
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.csv.manifest.json"]
+    names = ["c.csv", "c.csv.manifest.json", "t_dx3_1_dxx2_R1.0.csv", "t_manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
+
+
+def test_writing_never_changes_the_process_umask(capsys, tmp_path, monkeypatch):
+    # the process umask is shared by every thread; a write that set it to 0
+    # and back would let files other threads create meanwhile skip it
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+    monkeypatch.setattr(os, "umask", no_umask)
+    code, _, err = run(capsys, "coeffs", "dx", "3", "1", "--out", str(tmp_path / "c.csv"))
+    assert (code, err) == (0, "")
+    code, _, err = run(capsys, "trajectory", "--dx", "3", "1", "--dxx", "2", "--r-list",
+                       "0.1,1", "--samples", "8", "--out", str(tmp_path / "t_"))
+    assert (code, err) == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.csv", "c.csv.manifest.json", "t_dx3_1_dxx2_R0.1.csv", "t_dx3_1_dxx2_R1.0.csv",
+        "t_manifest.json"]
 
 
 def test_failed_write_leaves_no_temp_file_and_no_manifest(capsys, tmp_path):
@@ -369,6 +390,30 @@ def test_index_sweep_unknown_tableau(capsys):
     code, _, err = run(capsys, "index-sweep", "--tableau", "rk99",
                        "--dx", "1", "0", "--mu", "0.1", "--n", "32")
     assert code == 2 and "rk99" in err
+
+
+def test_unknown_tableau_message_has_no_stray_quotes(capsys):
+    # str() of a KeyError is the repr of its message
+    code, out, err = run(capsys, "threshold", "--tableau", "nosuch", "--dx", "1", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown tableau 'nosuch'; known: fe, lsrk3, rk2, rk3, rk4, ssprk2\n"
+
+
+@pytest.mark.parametrize("argv,control", [
+    (["index-sweep", "--mu-nu", "1", "--n", "32"], "mu_nu=1.0"),
+    (["threshold", "--mode", "fixed-mu-nu", "--n", "32"], "mu_nu="),
+], ids=["index-sweep", "threshold"])
+def test_derived_time_step_that_is_not_finite_is_named(capsys, tmp_path, argv, control):
+    # nu = 1e-320 makes dt = mu_nu / (nu N^2) overflow; the message was
+    # "time step must be finite and positive", naming none of its inputs
+    out = tmp_path / "o"
+    code, stdout, err = run(capsys, *argv, "--tableau", "fe", "--dxx", "1", "--nu", "1e-320",
+                            "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {control}")
+    assert err.endswith(", nu=1e-320 and N=32 give time step inf, "
+                        "which is not finite and positive\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_index_sweep_empty_resolution_list(capsys):

@@ -79,6 +79,25 @@ def test_grid_for_names_a_bad_control(control):
             call()
 
 
+@pytest.mark.parametrize("mode,control,nu,dt", [
+    (SweepMode.FIXED_MU, 5e-324, 0.0, "0.0"),
+    (SweepMode.FIXED_MU_NU, 1.0, 1e-320, "inf"),
+    (SweepMode.FIXED_MU_NU, 5e-324, 1e10, "0.0"),
+], ids=["mu-underflow", "mu_nu-overflow", "mu_nu-underflow"])
+def test_grid_for_names_the_inputs_of_a_bad_time_step(mode, control, nu, dt):
+    # a finite positive control can still divide to a dt of 0 or inf; the
+    # message was GridConfig's, which names only dt
+    name = "mu" if mode is SweepMode.FIXED_MU else "mu_nu"
+    want = (f"{name}={control!r}, nu={nu!r} and N=32 give time step {dt}, "
+            "which is not finite and positive")
+    with pytest.raises(ValueError) as err:
+        grid_for(mode, 32, control, nu)
+    assert str(err.value) == want
+    with pytest.raises(ValueError) as err:
+        instability_curve(build_dx(1, 0), build_dxx(1), RK4, control, [32], mode, nu=nu)
+    assert str(err.value) == want
+
+
 def test_semidiscrete_eigs_four_cells():
     grid = GridConfig(4, 0.0, dt=0.1)
     eig = semidiscrete_eigs(build_dx(1, 0), build_dxx(1), grid)

@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -99,6 +100,18 @@ def test_readme_library_tour_runs():
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_command_examples_parse():
+    # a renamed or dropped flag would leave the README's examples stale
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("fdmlab ")]
+    assert len(commands) == 11
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def _leaf_commands(parser, path=()):
